@@ -107,9 +107,8 @@ def _build_parser() -> _Parser:
     certify.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     certify.add_argument(
         "--schedule", choices=SCHEDULES, default="fifo", metavar="POLICY",
-        help="parallel scheduling policy: fifo (catalog order, default), risk "
-             "(churn/verdict history first; needs --risk-store), largest-first "
-             "(most elements first), or off (legacy wave-synchronous pool)",
+        help="dispatch order when --workers > 1: fifo (catalog order, default) "
+             "or risk (churn/verdict history first; needs --risk-store)",
     )
     certify.add_argument(
         "--risk-store", metavar="DIR",

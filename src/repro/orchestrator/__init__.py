@@ -3,11 +3,11 @@
 The sixth architectural layer: stable DAG serialization for hash-consed
 summaries (:mod:`serialize`), content-addressed on-disk stores shared
 across processes and runs (:mod:`store` for Step-1 summaries,
-:mod:`verdicts` for whole per-pipeline certification records),
-multiprocessing workers with deterministic merging (:mod:`workers`), the
-batch certification API (:mod:`fleet`), and the change-impact engine that
-makes re-certification proportional to a configuration diff
-(:mod:`impact`).
+:mod:`verdicts` for whole per-pipeline certification records), the batch
+certification API (:mod:`fleet`), which runs serially in process or, with
+several workers, through the persistent scheduler (:mod:`scheduler`) and
+its task bodies (:mod:`workers`), and the change-impact engine that makes
+re-certification proportional to a configuration diff (:mod:`impact`).
 
 Typical usage::
 
@@ -32,15 +32,8 @@ from .backends import (
     make_backend,
     migrate_store,
 )
-from .errors import OrchestratorError, SerializationError, StoreError, WorkerError
-from .fleet import (
-    DELTA_REUSED,
-    FRESH,
-    FleetReport,
-    FleetStatistics,
-    PipelineCertification,
-    certify_fleet,
-)
+from .errors import OrchestratorError, SerializationError, StoreError
+from .fleet import FleetReport, FleetStatistics, certify_fleet
 from .impact import (
     MANIFEST_VERSION,
     CatalogImpact,
@@ -83,13 +76,15 @@ from .store import (
     summary_key,
 )
 from .verdicts import (
+    DELTA_REUSED,
+    FRESH,
     RECORD_VERSION,
+    PipelineCertification,
     VerdictStore,
     property_fingerprint,
     property_set_fingerprint,
     verdict_key,
 )
-from .workers import WorkerPool, run_tasks, summarize_jobs
 
 __all__ = [
     "DELTA_REUSED",
@@ -129,8 +124,6 @@ __all__ = [
     "TermLoader",
     "TermTable",
     "VerdictStore",
-    "WorkerError",
-    "WorkerPool",
     "catalog_manifest",
     "certify_fleet",
     "decode_terms",
@@ -149,8 +142,6 @@ __all__ = [
     "recertify",
     "risk_key",
     "run_scheduled",
-    "run_tasks",
-    "summarize_jobs",
     "summary_from_payload",
     "summary_key",
     "summary_to_payload",

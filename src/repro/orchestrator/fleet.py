@@ -5,19 +5,22 @@ against one pipeline.  At fleet scale an operator holds a *catalog* of
 pipelines that share most of their elements (every variant starts with the
 same CheckIPHeader, routes through the same IPLookup configuration, …).
 :func:`certify_fleet` exploits that sharing the same way the verifier
-exploits sharing within one pipeline:
+exploits sharing within one pipeline: Step 1 summarizes each distinct
+(element configuration, input length) job once for the whole catalog,
+and Step 2 composes those summaries per pipeline.
 
-1. **Step 1, deduplicated and sharded** — the catalog's (element
-   configuration, input length) jobs are discovered breadth-first across
-   *all* pipelines at once, deduplicated by store digest, and summarized
-   in parallel worker processes backed by one shared
-   :class:`~repro.orchestrator.store.SummaryStore`.  An element appearing
-   in twenty pipelines is symbolically executed once — and zero times on a
-   warm store.
-2. **Step 2, sharded by pipeline** — per-pipeline suspect-composition
-   checks are independent, so each worker certifies its pipelines against
-   every property, hydrating summaries from the store (L2 hits, no
-   symbolic execution).
+Where the two steps run is decided by ``workers`` alone:
+
+* **one worker** — in process, through one
+  :class:`~repro.verify.cache.SummaryCache` and one query cache shared by
+  the whole catalog.  An element appearing in twenty pipelines is
+  symbolically executed once, and zero times on a warm store.  This is
+  also the reference the parallel path is differentially tested against.
+* **several workers** — :func:`repro.orchestrator.scheduler.run_scheduled`
+  over one persistent pool: Step-1 jobs deduplicated by store digest
+  across the catalog, each pipeline's Step-2 task dispatched the moment
+  its summaries exist, all backed by one shared
+  :class:`~repro.orchestrator.store.SummaryStore`.
 
 Merging is deterministic: certifications come back in catalog order, and
 parallel runs produce the same verdicts and counterexamples as serial
@@ -38,103 +41,22 @@ from ..dataplane.element import Element
 from ..dataplane.fingerprint import pipeline_fingerprint
 from ..dataplane.pipeline import Pipeline
 from ..obs.stats import StatisticsMixin
-from ..obs.trace import NullTracer, Tracer, active, clock, enable, tracer
+from ..obs.trace import NullTracer, Tracer, active, clock, tracer
 from ..smt.qcache import QueryCacheStatistics
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..verify.cache import SummaryCache
-from ..verify.pipeline_verifier import PipelineVerifier
 from ..verify.properties import Property
-from ..verify.report import InstructionBoundResult, VerificationResult
 from .errors import OrchestratorError
-from .scheduler import FIFO, OFF, SCHEDULES, SchedulerStatistics, run_scheduled
+from .scheduler import FIFO, SCHEDULES, SchedulerStatistics, run_scheduled
 from .store import QueryStore, SummaryStore
-from .verdicts import VerdictStore, verdict_key
-from .workers import (
-    COMPUTED,
-    EXPLODED,
-    WorkerPool,
-    drain_observability,
-    job_digest,
-    merge_observability,
-    merge_query_entries,
-    run_tasks,
-    summarize_jobs,
-    worker_query_cache,
-    worker_summary_store,
+from .verdicts import (
+    DELTA_REUSED,
+    FRESH,
+    PipelineCertification,
+    VerdictStore,
+    verdict_key,
 )
-
-#: Provenance labels: the certification was verified on this run, ...
-FRESH = "fresh"
-#: ... or reused from the verdict store because the pipeline's fingerprint
-#: (and the whole verification request) was unchanged.
-DELTA_REUSED = "delta-reused"
-
-
-@dataclass
-class PipelineCertification:
-    """One pipeline's verdicts against every requested property."""
-
-    pipeline_name: str
-    results: List[VerificationResult] = field(default_factory=list)
-    instruction_bound: Optional[InstructionBoundResult] = None
-    #: :data:`FRESH` when verified on this run, :data:`DELTA_REUSED` when
-    #: served from the verdict store.  Reused certifications' statistics
-    #: describe the run that originally computed them, so the fleet-level
-    #: counters deliberately exclude them.
-    provenance: str = FRESH
-    #: Why this pipeline was (or was not) re-verified, as human-readable
-    #: impact provenance ("element lookup: contents of static table
-    #: 'routes' changed", "unchanged configuration", ...).  Filled by the
-    #: change-impact engine; plain ``certify_fleet`` leaves it empty.
-    impact_causes: List[str] = field(default_factory=list)
-
-    @property
-    def certified(self) -> bool:
-        return all(result.proved for result in self.results)
-
-    @property
-    def reused(self) -> bool:
-        return self.provenance == DELTA_REUSED
-
-    def __repr__(self) -> str:
-        verdicts = ", ".join(f"{r.property_name}={r.verdict}" for r in self.results)
-        return f"PipelineCertification({self.pipeline_name!r}, {verdicts})"
-
-    def to_dict(self) -> dict:
-        return {
-            "pipeline_name": self.pipeline_name,
-            "results": [result.to_dict() for result in self.results],
-            "instruction_bound": (
-                self.instruction_bound.to_dict() if self.instruction_bound else None
-            ),
-            "provenance": self.provenance,
-            "impact_causes": list(self.impact_causes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PipelineCertification":
-        bound = payload.get("instruction_bound")
-        return cls(
-            pipeline_name=payload["pipeline_name"],
-            results=[VerificationResult.from_dict(r) for r in payload.get("results", [])],
-            instruction_bound=InstructionBoundResult.from_dict(bound) if bound else None,
-            provenance=payload.get("provenance", FRESH),
-            impact_causes=list(payload.get("impact_causes", [])),
-        )
-
-    def relabel(self, pipeline_name: str) -> None:
-        """Adopt the current catalog's name for this pipeline.
-
-        Verdict records are content-addressed by fingerprint, which
-        normalizes names out — a renamed-but-identical pipeline hits the
-        record stored under its old name.
-        """
-        self.pipeline_name = pipeline_name
-        for result in self.results:
-            result.pipeline_name = pipeline_name
-        if self.instruction_bound is not None:
-            self.instruction_bound.pipeline_name = pipeline_name
-
+from .workers import _certify_one, merge_query_entries
 
 @dataclass
 class FleetStatistics(StatisticsMixin):
@@ -190,7 +112,7 @@ class FleetReport:
     statistics: FleetStatistics = field(default_factory=FleetStatistics)
     #: Scheduler-side accounting (pool forks, idle time, retries) when the
     #: run went through the persistent scheduler; ``None`` on the serial
-    #: and wave-synchronous paths.
+    #: path.
     scheduler: Optional[SchedulerStatistics] = None
 
     @property
@@ -258,173 +180,6 @@ def _entry_of(pipeline: Pipeline) -> Element:
     return entries[0]
 
 
-def _discover_jobs(
-    pipelines: Sequence[Pipeline],
-    input_lengths: Sequence[int],
-    options: SymbexOptions,
-    workers: int,
-    store: SummaryStore,
-    qstats: Optional[QueryCacheStatistics] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Tuple[Dict[str, object], int, int]:
-    """Breadth-first Step-1 over the whole catalog, deduplicated by digest.
-
-    Downstream packet lengths are only known once the upstream summary
-    exists, so discovery proceeds in waves: summarize the current frontier
-    of distinct jobs in parallel, expand each pipeline's worklist through
-    the new summaries, repeat.  A job that blows its path/time budget is
-    simply not prefetched — the owning pipeline's own verification hits
-    the same budget and reports ``unknown``, exactly as a serial run
-    would.  Each frontier's warm-store probes go through one bulk read
-    (:meth:`SummaryStore.load_digests`) instead of a round trip per job,
-    and ``pool`` reuses one set of worker processes across every wave.
-    Returns (summaries by digest, computed count, store-hit count).
-    """
-    summaries: Dict[str, object] = {}
-    exploded: Set[str] = set()  # budget-blown digests: never re-batched
-    computed_count = 0
-    loaded_count = 0
-    # Per-pipeline BFS state, mirroring PipelineVerifier.element_summaries.
-    visited: List[Set[Tuple[str, int]]] = [set() for _ in pipelines]
-    worklists: List[List[Tuple[Element, int]]] = []
-    for pipeline in pipelines:
-        entry = _entry_of(pipeline)
-        worklists.append([(entry, length) for length in input_lengths])
-
-    while True:
-        wave: List[Tuple[int, Element, int, str]] = []
-        frontier: List[Tuple[Element, int, str]] = []
-        frontier_digests: Set[str] = set()
-        for index, worklist in enumerate(worklists):
-            while worklist:
-                element, length = worklist.pop()
-                key = (element.name, length)
-                if key in visited[index]:
-                    continue
-                visited[index].add(key)
-                digest = job_digest(element, length, options)
-                wave.append((index, element, length, digest))
-                if digest in summaries or digest in exploded or digest in frontier_digests:
-                    continue
-                frontier.append((element, length, digest))
-                frontier_digests.add(digest)
-        if not wave:
-            break
-        # Warm-store entries load in-process — no reason to ship the job to
-        # a worker only to parse the same JSON twice — and the whole
-        # frontier probes in one bulk read, not one round trip per job.
-        stored = store.load_digests([digest for _element, _length, digest in frontier])
-        batch: List[Tuple[Element, int]] = []
-        batch_digests: List[str] = []
-        for element, length, digest in frontier:
-            summary = stored.get(digest)
-            if summary is not None:
-                summaries[digest] = summary
-                loaded_count += 1
-                continue
-            batch.append((element, length))
-            batch_digests.append(digest)
-        if batch:
-            results = summarize_jobs(
-                batch, options, workers=workers, store=store, qstats=qstats, pool=pool
-            )
-            for digest, (status, summary, _detail) in zip(batch_digests, results):
-                if status == EXPLODED:
-                    exploded.add(digest)
-                    continue
-                summaries[digest] = summary
-                if status == COMPUTED:
-                    computed_count += 1
-                else:
-                    loaded_count += 1
-        for index, element, _length, digest in wave:
-            summary = summaries.get(digest)
-            if summary is None:  # exploded job: stop expanding this branch
-                continue
-            for segment in summary.emit_segments:  # type: ignore[attr-defined]
-                downstream = pipelines[index].downstream(element, segment.port or 0)
-                if downstream is not None:
-                    worklists[index].append((downstream[0], len(segment.output_bytes)))
-    return summaries, computed_count, loaded_count
-
-
-def _certify_one(
-    pipeline: Pipeline,
-    properties: Sequence[Property],
-    input_lengths: Sequence[int],
-    cache: SummaryCache,
-    max_counterexamples: int,
-    confirm_by_replay: bool,
-    with_instruction_bound: bool,
-) -> PipelineCertification:
-    verifier = PipelineVerifier(pipeline, options=cache.options, cache=cache)
-    certification = PipelineCertification(pipeline_name=pipeline.name)
-    with tracer().span("fleet.pipeline", "fleet", pipeline=pipeline.name) as span:
-        for target_property in properties:
-            certification.results.append(
-                verifier.verify(
-                    target_property,
-                    input_lengths=list(input_lengths),
-                    max_counterexamples=max_counterexamples,
-                    confirm_by_replay=confirm_by_replay,
-                )
-            )
-        if with_instruction_bound:
-            certification.instruction_bound = verifier.instruction_bound(
-                input_lengths=list(input_lengths), find_witness=False
-            )
-        span.set(certified=certification.certified)
-    return certification
-
-
-def _certify_worker(payload) -> Tuple[PipelineCertification, int, int, list, dict]:
-    """Per-pipeline Step-2 task: certify one pipeline from the shared store.
-
-    The query cache is opened read-only (see
-    :func:`repro.orchestrator.workers.worker_query_cache`); newly solved
-    slice entries ride back with the result for the parent to merge, and
-    observability output (spans, slow-solve records, query-tier counters)
-    travels the same way as a fifth tuple member.
-    """
-    (
-        pipeline,
-        properties,
-        input_lengths,
-        options,
-        store_root,
-        max_counterexamples,
-        confirm_by_replay,
-        with_instruction_bound,
-    ) = payload
-    if options.trace:
-        enable()
-    query_cache = worker_query_cache(options)
-    store = worker_summary_store(store_root)
-    cache = SummaryCache(options, store=store, query_cache=query_cache)
-    try:
-        certification = _certify_one(
-            pipeline,
-            properties,
-            input_lengths,
-            cache,
-            max_counterexamples,
-            confirm_by_replay,
-            with_instruction_bound,
-        )
-    finally:
-        if store is not None:
-            # Push worker-side miss writes into this worker's shard before
-            # the pool can recycle the process (see _summarize_worker).
-            store.close()
-    return (
-        certification,
-        cache.statistics.misses,
-        cache.statistics.l2_hits,
-        query_cache.new_entries if query_cache is not None else [],
-        drain_observability(query_cache),
-    )
-
-
 def certify_fleet(
     pipelines: Sequence[Pipeline],
     properties: Sequence[Property],
@@ -453,18 +208,14 @@ def certify_fleet(
     the shared store as its transport; an ephemeral one is created when
     none is given.
 
-    ``schedule`` picks how parallel work is ordered.  The default
-    (``fifo``, also ``risk`` / ``largest-first``) drives both steps
-    through the persistent dependency-aware scheduler
+    Parallel runs go through the persistent dependency-aware scheduler
     (:mod:`repro.orchestrator.scheduler`): one pool for the whole run,
-    no wave barriers, Step-2 verification overlapping Step-1 symbex, and
-    pipelines prioritized by the policy — ``risk`` ranks them by the
-    churn/verdict history in ``risk_history`` (a
-    :class:`repro.orchestrator.risk.RiskHistory`).  ``schedule="off"``
-    keeps the wave-synchronous path (frontier barriers, Step 2 strictly
-    after Step 1) — now over a single reused pool rather than one fork
-    per wave.  Every schedule produces identical verdicts, counters and
-    worker spans; only the order (and the wall clock) moves.
+    Step-2 verification overlapping Step-1 symbex.  ``schedule`` picks
+    the order in which it dispatches pipelines: ``fifo`` (the default)
+    is catalog order, ``risk`` ranks them by the churn/verdict history
+    in ``risk_history`` (a :class:`repro.orchestrator.risk.RiskHistory`).
+    Both produce identical verdicts, counters and worker spans; only the
+    order (and the wall clock) moves.  Serial runs ignore it.
 
     A ``query_store`` (path or :class:`QueryStore`) persists the query
     cache's L3 tier: sliced solver verdicts, models and unsat cores
@@ -616,11 +367,11 @@ def _certify_fleet(
     # the shared cache, parallel runs fold in what each worker shipped.
     fleet_qstats = QueryCacheStatistics()
     try:
-        if workers > 1 and fresh_pipelines and schedule != OFF:
+        if workers > 1 and fresh_pipelines:
             assert store is not None
-            # The persistent scheduler: one pool, no wave barriers, Step-2
-            # verification overlapping Step-1 symbex, shards merged
-            # incrementally as each task's result arrives.
+            # The persistent scheduler: one pool, Step-2 verification
+            # overlapping Step-1 symbex, shards merged incrementally as
+            # each task's result arrives.
             scheduled = run_scheduled(
                 fresh_pipelines,
                 properties,
@@ -651,69 +402,6 @@ def _certify_fleet(
                 report.statistics.summaries_computed += misses
                 report.statistics.step2_store_loads += l2_hits
             merge_query_entries(options.query_cache_dir, scheduled.query_entries)
-        elif workers > 1 and fresh_pipelines:
-            assert store is not None
-            # Wave-synchronous fallback (schedule="off"): one *shared* pool
-            # reused across every discovery wave and Step 2, instead of the
-            # historical fork-per-wave churn.
-            with WorkerPool(workers) as shared_pool:
-                # Step 1: catalog-wide deduplicated summarization into the store.
-                step1_started = clock()
-                summaries, computed, loaded = _discover_jobs(
-                    fresh_pipelines, input_lengths, options, workers, store,
-                    qstats=fleet_qstats, pool=shared_pool,
-                )
-                if trace.enabled:
-                    trace.record_span(
-                        "fleet.summarize",
-                        "fleet",
-                        step1_started,
-                        clock(),
-                        jobs=len(summaries),
-                        computed=computed,
-                        loaded=loaded,
-                    )
-                report.statistics.distinct_summary_jobs = len(summaries)
-                report.statistics.summaries_computed = computed
-                report.statistics.store_hits = loaded
-                # Step-1 solver work happened in worker forks; the counters
-                # ride back on the computed summaries (store-loaded ones are
-                # rightly zero), so parallel runs account like serial ones.
-                for summary in summaries.values():
-                    report.statistics.sat_core_calls += getattr(summary, "sat_core_calls", 0)
-                    report.statistics.qcache_hits += getattr(summary, "qcache_hits", 0)
-                # Step 2: per-pipeline composition checks, hydrated from the store.
-                payloads = [
-                    (
-                        pipeline,
-                        list(properties),
-                        tuple(input_lengths),
-                        options,
-                        str(store.root),
-                        max_counterexamples,
-                        confirm_by_replay,
-                        instruction_bounds,
-                    )
-                    for pipeline in fresh_pipelines
-                ]
-                shipped_entries: List[tuple] = []
-                for certification, misses, l2_hits, query_entries, extras in run_tasks(
-                    _certify_worker, payloads, workers=workers, pool=shared_pool
-                ):
-                    fresh_certifications.append(certification)
-                    # Worker-side misses are real symbolic executions (lengths
-                    # Step 1 could not discover, e.g. past an exploded element);
-                    # worker-side store loads are rehydration, tracked apart
-                    # from the avoided-work counter.
-                    report.statistics.summaries_computed += misses
-                    report.statistics.step2_store_loads += l2_hits
-                    shipped_entries.extend(query_entries)
-                    merge_observability(extras, fleet_qstats)
-            # The shared pool is torn down (results all in, shards
-            # flushed): fold worker shards (SQLite backend) into the main
-            # store before anyone reads it cold.
-            store.merge_shards()
-            merge_query_entries(options.query_cache_dir, shipped_entries)
         elif fresh_pipelines:
             # Serial: one shared cache dedupes across the catalog in-process
             # (and through the store, when one is provided).

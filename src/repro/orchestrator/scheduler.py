@@ -1,13 +1,7 @@
-"""Persistent dependency-aware fleet scheduler: no wave barriers, no pool churn.
+"""Persistent dependency-aware fleet scheduler: the parallel fleet engine.
 
-The wave-synchronous path in :mod:`repro.orchestrator.fleet` runs Step-1
-discovery in lock-step frontiers (a full join barrier per wave, a fresh
-``multiprocessing.Pool`` per :func:`~repro.orchestrator.workers.run_tasks`
-call) and gates every Step-2 verification on the *last* Step-1 summary of
-the whole catalog.  At 1,000-pipeline scale the wall clock is dominated by
-barrier idle and fork churn, not solver work.
-
-This module replaces the waves with a job graph over one long-lived pool:
+``certify_fleet(workers > 1)`` runs here.  Step 1 and Step 2 become one
+job graph driven over one long-lived pool:
 
 * :class:`JobGraph` — Step-1 summary jobs are nodes keyed by store digest;
   when a summary lands, exactly the pipelines waiting on that digest
@@ -25,16 +19,17 @@ This module replaces the waves with a job graph over one long-lived pool:
   moment the result arrives (``merge_shards(only=...)``) instead of
   blocking on a straggler at pool join.
 * A priority seam (:data:`SCHEDULES`): ``fifo`` preserves catalog order,
-  ``largest-first`` fronts the widest pipelines, and ``risk`` ranks
-  pipelines by the persisted churn/verdict history of
+  and ``risk`` ranks pipelines by the persisted churn/verdict history of
   :mod:`repro.orchestrator.risk` — under delta mode the likely-violating
   few reach a verdict while bulk reuse trails.
 
-Differential guarantee: verdicts, work counters and the worker-span
-multiset equal the serial and wave-parallel paths exactly — the scheduler
-reorders work, it never changes it.  Observability: per-task
-``scheduler.task`` spans, plus ``scheduler.queue_depth`` and
-``scheduler.worker_idle_ms`` gauges in the process metrics registry.
+Differential guarantee: verdicts, counterexamples, the summaries computed
+and the symbex-span multiset equal the serial path exactly — the
+scheduler reorders Step-1 work, it never changes it.  Solver counters may
+differ: each worker task starts its own query cache, where the serial
+path shares one across the catalog.  Observability: per-task ``scheduler.task`` spans, plus
+``scheduler.queue_depth`` and ``scheduler.worker_idle_ms`` gauges in the
+process metrics registry.
 """
 
 from __future__ import annotations
@@ -58,6 +53,7 @@ from .store import SummaryStore
 from .workers import (
     EXPLODED,
     LOADED,
+    _certify_worker,
     _pool_context,
     _summarize_worker,
     job_digest,
@@ -67,8 +63,6 @@ from .workers import (
 
 __all__ = [
     "FIFO",
-    "LARGEST_FIRST",
-    "OFF",
     "RISK",
     "SCHEDULES",
     "JobGraph",
@@ -80,11 +74,9 @@ __all__ = [
 ]
 
 #: Priority policies accepted by ``certify_fleet(schedule=...)`` / ``--schedule``.
-OFF = "off"
 FIFO = "fifo"
 RISK = "risk"
-LARGEST_FIRST = "largest-first"
-SCHEDULES = (OFF, FIFO, RISK, LARGEST_FIRST)
+SCHEDULES = (FIFO, RISK)
 
 #: Task kinds (also the ``kind`` arg on ``scheduler.task`` spans).
 SUMMARY = "summary"
@@ -126,23 +118,19 @@ def pipeline_ranks(
 ) -> List[int]:
     """Per-pipeline priority ranks (0 = most urgent) under a policy.
 
-    ``fifo`` is catalog order; ``largest-first`` fronts pipelines with the
-    most element instances (they gate the most Step-1 work); ``risk``
-    delegates to a :class:`repro.orchestrator.risk.RiskHistory` and falls
-    back to fifo when no history is available.  Ties always break on
-    catalog index, so every policy is deterministic.
+    ``fifo`` is catalog order; ``risk`` delegates to a
+    :class:`repro.orchestrator.risk.RiskHistory` and falls back to fifo
+    when no history is available.  Ties always break on catalog index, so
+    both policies are deterministic.
     """
     if schedule not in SCHEDULES:
         raise OrchestratorError(
             f"unknown schedule {schedule!r} (expected one of {', '.join(SCHEDULES)})"
         )
-    indices = list(range(len(pipelines)))
-    if schedule == LARGEST_FIRST:
-        order = sorted(indices, key=lambda i: (-len(pipelines[i].elements), i))
-    elif schedule == RISK and risk_history is not None:
+    if schedule == RISK and risk_history is not None:
         order = risk_history.rank(pipelines)
     else:
-        order = indices
+        order = list(range(len(pipelines)))
     ranks = [0] * len(pipelines)
     for position, index in enumerate(order):
         ranks[index] = position
@@ -158,12 +146,13 @@ class JobGraph:
     Summary jobs are keyed by store digest (the fleet-wide dedupe unit);
     each pipeline tracks the set of digests it still needs.  Resolving a
     digest expands exactly the waiting pipelines' downstream jobs — the
-    per-pipeline BFS of the wave path, without the cross-pipeline
-    barrier — and a pipeline whose need-set empties becomes
-    verify-ready.  A digest that blew its budget (:meth:`explode`) stops
-    expanding, and its pipelines still verify: their own Step-2 pass hits
-    the same budget and reports ``unknown``, exactly like the serial and
-    wave paths.
+    per-pipeline BFS of :meth:`PipelineVerifier.element_summaries
+    <repro.verify.pipeline_verifier.PipelineVerifier.element_summaries>`,
+    without a cross-pipeline barrier — and a pipeline whose need-set
+    empties becomes verify-ready.  A digest that blew its budget
+    (:meth:`explode`) stops expanding, and its pipelines still verify:
+    their own Step-2 pass hits the same budget and reports ``unknown``,
+    exactly like the serial path.
 
     The graph is pure bookkeeping (no processes, no store): drive it in
     any completion order — the reachable job set, the summary dict and
@@ -508,9 +497,9 @@ class ScheduledRun:
     summaries: Dict[str, object] = field(default_factory=dict)
     computed: int = 0
     loaded: int = 0
-    #: Step-2 worker results by catalog index:
-    #: ``(certification, misses, l2_hits, query_entries, extras)`` with the
-    #: entries/extras already consumed (merged) by the scheduler.
+    #: Step-2 worker results by catalog index: ``(certification, misses,
+    #: l2_hits)``; the task's query entries and observability extras are
+    #: already consumed (merged) by the scheduler.
     step2: Dict[int, tuple] = field(default_factory=dict)
     #: Catalog indices in verification *completion* order — what the risk
     #: policy reorders, and what the bench asserts on.
@@ -550,10 +539,6 @@ def run_scheduled(
     highest-risk pipeline's entire dependency chain, then its verdict,
     preempt the bulk of the catalog.
     """
-    from .fleet import _certify_worker  # deferred: fleet imports this module
-
-    if schedule == OFF:
-        raise OrchestratorError("run_scheduled called with schedule='off'")
     summary_fn = summary_worker or _summarize_worker
     verify_fn = verify_worker or _certify_worker
     ranks = pipeline_ranks(pipelines, schedule, risk_history)
@@ -739,9 +724,8 @@ def run_scheduled(
     idle_gauge.set(stats.worker_idle_seconds * 1000.0)
     depth_gauge.set(0)
     if trace.enabled and (run.computed or run.loaded):
-        # The wave path records one fleet.summarize span over Step 1; keep
-        # the phase comparable by spanning admission to the last Step-1
-        # resolution (Step 2 overlaps it — that is the point).
+        # One fleet.summarize span marks the Step-1 phase: admission to the
+        # last Step-1 resolution (Step 2 overlaps it — that is the point).
         trace.record_span(
             "fleet.summarize",
             "fleet",

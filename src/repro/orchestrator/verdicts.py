@@ -20,6 +20,10 @@ changes the key; a no-op rename does not.
 Records whose verdicts include ``unknown`` are never stored: an unknown is
 a budget artifact, not a fact about the pipeline, and a bigger budget on
 the next run should get the chance to resolve it.
+
+The record itself, :class:`PipelineCertification`, is defined here: it is
+what both the fleet layer and its worker processes produce, and what this
+store persists.
 """
 
 from __future__ import annotations
@@ -28,18 +32,19 @@ import dataclasses
 import hashlib
 import json
 import types
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 from ..symbex.engine import SymbexOptions
 from ..verify.properties import Property
-from ..verify.report import Verdict
+from ..verify.report import InstructionBoundResult, Verdict, VerificationResult
 from .store import Store
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports this module)
-    from .fleet import PipelineCertification
-
 __all__ = [
+    "DELTA_REUSED",
+    "FRESH",
     "RECORD_VERSION",
+    "PipelineCertification",
     "VerdictStore",
     "property_fingerprint",
     "property_set_fingerprint",
@@ -48,6 +53,78 @@ __all__ = [
 
 #: Bump when the record layout changes; a version mismatch reads as a miss.
 RECORD_VERSION = 1
+
+#: Provenance labels: the certification was verified on this run, ...
+FRESH = "fresh"
+#: ... or reused from the verdict store because the pipeline's fingerprint
+#: (and the whole verification request) was unchanged.
+DELTA_REUSED = "delta-reused"
+
+
+@dataclass
+class PipelineCertification:
+    """One pipeline's verdicts against every requested property."""
+
+    pipeline_name: str
+    results: List[VerificationResult] = field(default_factory=list)
+    instruction_bound: Optional[InstructionBoundResult] = None
+    #: :data:`FRESH` when verified on this run, :data:`DELTA_REUSED` when
+    #: served from the verdict store.  Reused certifications' statistics
+    #: describe the run that originally computed them, so the fleet-level
+    #: counters deliberately exclude them.
+    provenance: str = FRESH
+    #: Why this pipeline was (or was not) re-verified, as human-readable
+    #: impact provenance ("element lookup: contents of static table
+    #: 'routes' changed", "unchanged configuration", ...).  Filled by the
+    #: change-impact engine; plain ``certify_fleet`` leaves it empty.
+    impact_causes: List[str] = field(default_factory=list)
+
+    @property
+    def certified(self) -> bool:
+        return all(result.proved for result in self.results)
+
+    @property
+    def reused(self) -> bool:
+        return self.provenance == DELTA_REUSED
+
+    def __repr__(self) -> str:
+        verdicts = ", ".join(f"{r.property_name}={r.verdict}" for r in self.results)
+        return f"PipelineCertification({self.pipeline_name!r}, {verdicts})"
+
+    def to_dict(self) -> dict:
+        return {
+            "pipeline_name": self.pipeline_name,
+            "results": [result.to_dict() for result in self.results],
+            "instruction_bound": (
+                self.instruction_bound.to_dict() if self.instruction_bound else None
+            ),
+            "provenance": self.provenance,
+            "impact_causes": list(self.impact_causes),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "PipelineCertification":
+        bound = payload.get("instruction_bound")
+        return cls(
+            pipeline_name=payload["pipeline_name"],
+            results=[VerificationResult.from_dict(r) for r in payload.get("results", [])],
+            instruction_bound=InstructionBoundResult.from_dict(bound) if bound else None,
+            provenance=payload.get("provenance", FRESH),
+            impact_causes=list(payload.get("impact_causes", [])),
+        )
+
+    def relabel(self, pipeline_name: str) -> None:
+        """Adopt the current catalog's name for this pipeline.
+
+        Verdict records are content-addressed by fingerprint, which
+        normalizes names out — a renamed-but-identical pipeline hits the
+        record stored under its old name.
+        """
+        self.pipeline_name = pipeline_name
+        for result in self.results:
+            result.pipeline_name = pipeline_name
+        if self.instruction_bound is not None:
+            self.instruction_bound.pipeline_name = pipeline_name
 
 
 def _render_value(value: object) -> str:
@@ -157,14 +234,12 @@ class VerdictStore(Store):
 
     kind = "verdict store"
 
-    def load_record(self, digest: str) -> Optional["PipelineCertification"]:
+    def load_record(self, digest: str) -> Optional[PipelineCertification]:
         """Return the stored certification, or ``None`` on a miss.
 
         Corrupt or stale-format entries are quarantined and read as
         misses, exactly like summary-store entries.
         """
-        from .fleet import PipelineCertification
-
         text = self.read_entry(digest)
         if text is None:
             return None
@@ -189,8 +264,6 @@ class VerdictStore(Store):
         are counted per entry exactly as the one-at-a-time path would, so
         differential backend comparisons stay exact.
         """
-        from .fleet import PipelineCertification
-
         records = {}
         for digest, text in self.read_entries(digests).items():
             try:
@@ -205,7 +278,7 @@ class VerdictStore(Store):
             self.statistics.hits += 1
         return records
 
-    def save_record(self, digest: str, certification: "PipelineCertification") -> bool:
+    def save_record(self, digest: str, certification: PipelineCertification) -> bool:
         """Persist a certification record; refuses (returns False) on ``unknown``.
 
         An unknown verdict is a budget artifact: storing it would pin the

@@ -1,45 +1,44 @@
-"""Multiprocessing workers: shard Step-1 and Step-2 work across cores.
+"""Worker task bodies: the Step-1 and Step-2 units the scheduler ships to processes.
 
-Two kinds of work parallelize cleanly:
+:func:`repro.orchestrator.scheduler.run_scheduled` feeds two kinds of task
+to its persistent pool, both module-level so they pickle by reference:
 
-* **Step-1 element summarization** — per-(element, input length) jobs are
-  independent; each worker symbolically executes its element and ships the
-  summary back as a serialized DAG payload (hash-consed terms cannot cross
-  process boundaries by pickling — see
-  :mod:`repro.orchestrator.serialize`).  When a shared
-  :class:`~repro.orchestrator.store.SummaryStore` is configured, workers
-  check it first and write through on compute, so a summary is computed
-  once per *fleet*, not once per process.
-* **Step-2 composition checks** — :func:`run_tasks` is the generic ordered
-  fan-out used by :mod:`repro.orchestrator.fleet` to run per-pipeline
-  suspect-composition verification in parallel.
+* :func:`_summarize_worker` — **Step-1 element summarization** of one
+  (element, input length) job.  The summary travels back as a serialized
+  DAG payload (hash-consed terms cannot cross process boundaries by
+  pickling — see :mod:`repro.orchestrator.serialize`).  The worker checks
+  the shared :class:`~repro.orchestrator.store.SummaryStore` first and
+  writes through on compute, so a summary is computed once per *fleet*,
+  not once per process.
+* :func:`_certify_worker` — **Step-2 verification** of one pipeline
+  against every property, hydrating its summaries from the same store.
 
-Merging is deterministic: results always come back in input order
-regardless of worker scheduling, so parallel runs produce byte-identical
-reports to serial ones.
+Both ship failures and side outputs as data: an exploded budget is a
+status, not an exception; new query-cache entries and observability
+(spans, slow-solve records, query-tier counters) ride back with the
+result for the parent to merge.  The serial fleet path calls
+:func:`_certify_one` in process with one shared cache.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..dataplane.element import Element
+from ..dataplane.pipeline import Pipeline
 from ..obs.slowlog import slow_solve_log
 from ..obs.trace import enable, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics, build_query_cache
 from ..symbex.engine import SymbexOptions, SymbolicEngine
 from ..symbex.errors import PathExplosionError
-from ..symbex.segment import ElementSummary
-from .serialize import dumps_summary, loads_summary
+from ..verify.cache import SummaryCache
+from ..verify.pipeline_verifier import PipelineVerifier
+from ..verify.properties import Property
+from .serialize import dumps_summary
 from .store import QueryStore, SummaryStore, summary_key
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: A Step-1 job: summarize ``element`` at ``input_length`` bytes.
-SummaryJob = Tuple[Element, int]
+from .verdicts import PipelineCertification
 
 
 def _pool_context():
@@ -48,73 +47,6 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         return multiprocessing.get_context("spawn")
-
-
-class WorkerPool:
-    """A ``multiprocessing.Pool`` that outlives one :func:`run_tasks` call.
-
-    The wave-synchronous fleet path used to fork a fresh pool per
-    discovery wave and tear it down at the join — pool churn that at
-    catalog scale costs more than the work between waves.  This wrapper
-    forks lazily on first use, is handed to every subsequent
-    :func:`run_tasks` / :func:`summarize_jobs` call, and is torn down
-    once by the owner.  ``forks`` counts actual pool creations so tests
-    and benches can assert "one pool per run, not one per wave".
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
-        self.forks = 0
-        self._pool = None
-
-    def _ensure(self):
-        if self._pool is None:
-            self._pool = _pool_context().Pool(processes=self.workers)
-            self.forks += 1
-        return self._pool
-
-    def map(self, worker: Callable[[T], R], payloads: Sequence[T]) -> List[R]:
-        """Ordered map over the persistent pool (imap, chunksize 1)."""
-        if self.workers <= 1 or len(payloads) <= 1:
-            return [worker(payload) for payload in payloads]
-        pool = self._ensure()
-        return list(pool.imap(worker, payloads, chunksize=1))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def run_tasks(
-    worker: Callable[[T], R],
-    payloads: Sequence[T],
-    workers: int = 1,
-    pool: Optional[WorkerPool] = None,
-) -> List[R]:
-    """Run ``worker`` over ``payloads``, in input order, on up to ``workers`` processes.
-
-    ``worker`` must be a module-level callable and payloads/results must be
-    picklable.  With ``workers <= 1`` (or a single payload) everything runs
-    in-process — the degenerate case costs nothing and keeps behaviour
-    identical for debugging.  Passing a :class:`WorkerPool` reuses its
-    processes instead of forking (and joining) a fresh pool per call.
-    """
-    if pool is not None:
-        return pool.map(worker, payloads)
-    if workers <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    context = _pool_context()
-    with context.Pool(processes=min(workers, len(payloads))) as pool_:
-        # imap (not imap_unordered): completion order may vary, result order may not.
-        return list(pool_.imap(worker, payloads, chunksize=1))
 
 
 #: Result statuses shipped back by the summarization worker.
@@ -170,8 +102,8 @@ def worker_summary_store(store_root: Optional[str]) -> Optional[SummaryStore]:
 
     Reads hit the main store; writes land in this worker's private shard
     (SQLite backend) or go atomically in place (JSON backend, which has
-    no shards).  The parent folds shards in after the pool joins — see
-    :meth:`repro.orchestrator.store.Store.merge_shards`.
+    no shards).  The parent folds each task's shard in as its result
+    arrives — see :meth:`repro.orchestrator.store.Store.merge_shards`.
     """
     if store_root is None:
         return None
@@ -227,9 +159,9 @@ def merge_observability(
 
     Spans land in the active tracer (dropped when tracing is off here),
     slow records append to the process slow log, and the per-tier query
-    counters merge into ``qstats`` when an accumulator is provided.  The
-    degenerate in-process case (``run_tasks`` with one worker) drains and
-    re-ingests the same buffers, which only repositions entries.
+    counters merge into ``qstats`` when an accumulator is provided.  A
+    task run in the parent process itself drains and re-ingests the same
+    buffers, which only repositions entries.
     """
     if not extras:
         return
@@ -307,57 +239,80 @@ def _summarize_worker(
             store.close()
 
 
-def summarize_jobs(
-    jobs: Sequence[SummaryJob],
-    options: SymbexOptions,
-    workers: int = 1,
-    store: Optional[Union[SummaryStore, str]] = None,
-    qstats: Optional[QueryCacheStatistics] = None,
-    pool: Optional[WorkerPool] = None,
-) -> List[Tuple[str, Optional[ElementSummary], str]]:
-    """Summarize every (element, input length) job, sharded across processes.
+def _certify_one(
+    pipeline: Pipeline,
+    properties: Sequence[Property],
+    input_lengths: Sequence[int],
+    cache: SummaryCache,
+    max_counterexamples: int,
+    confirm_by_replay: bool,
+    with_instruction_bound: bool,
+) -> PipelineCertification:
+    verifier = PipelineVerifier(pipeline, options=cache.options, cache=cache)
+    certification = PipelineCertification(pipeline_name=pipeline.name)
+    with tracer().span("fleet.pipeline", "fleet", pipeline=pipeline.name) as span:
+        for target_property in properties:
+            certification.results.append(
+                verifier.verify(
+                    target_property,
+                    input_lengths=list(input_lengths),
+                    max_counterexamples=max_counterexamples,
+                    confirm_by_replay=confirm_by_replay,
+                )
+            )
+        if with_instruction_bound:
+            certification.instruction_bound = verifier.instruction_bound(
+                input_lengths=list(input_lengths), find_witness=False
+            )
+        span.set(certified=certification.certified)
+    return certification
 
-    Returns, in job order, ``(status, summary, detail)`` triples: status is
-    :data:`COMPUTED`, :data:`LOADED` (from the store — no symbolic
-    execution, which is how callers count real work), or :data:`EXPLODED`
-    (summary is ``None`` and detail carries the budget message).  Loaded
-    summaries are re-interned into the calling process's term table.
 
-    Worker observability (spans, slow-solve records) merges into this
-    process's tracer and slow log; per-tier query-cache counters fold
-    into ``qstats`` when an accumulator is passed.  A :class:`WorkerPool`
-    reuses processes across calls (one fork per run, not per wave).
+def _certify_worker(payload) -> Tuple[PipelineCertification, int, int, list, dict]:
+    """Per-pipeline Step-2 task: certify one pipeline from the shared store.
+
+    The query cache is opened read-only (see :func:`worker_query_cache`);
+    newly solved slice entries ride back with the result for the parent
+    to merge, and observability output (spans, slow-solve records,
+    query-tier counters) travels the same way as a fifth tuple member.
     """
-    store_root = None
-    if store is not None:
-        store_root = str(store.root) if isinstance(store, SummaryStore) else str(store)
-    payloads = [(element, length, options, store_root) for element, length in jobs]
-    results = run_tasks(_summarize_worker, payloads, workers=workers, pool=pool)
-    if store_root is not None:
-        # Every result is in (run_tasks returned), and each worker flushed
-        # its shard per job (store.close() in _summarize_worker's finally),
-        # so no shard of *this batch* has a live writer even when the pool
-        # persists: fold every worker shard into the main store in one
-        # bulk copy each.  A no-op on the JSON backend.
-        main_store = store if isinstance(store, SummaryStore) else SummaryStore(store_root)
-        main_store.merge_shards()
-    merge_query_entries(
-        options.query_cache_dir,
-        [entry for _status, _text, entries, _work, _extras in results for entry in entries],
+    (
+        pipeline,
+        properties,
+        input_lengths,
+        options,
+        store_root,
+        max_counterexamples,
+        confirm_by_replay,
+        with_instruction_bound,
+    ) = payload
+    if options.trace:
+        enable()
+    query_cache = worker_query_cache(options)
+    store = worker_summary_store(store_root)
+    cache = SummaryCache(options, store=store, query_cache=query_cache)
+    try:
+        certification = _certify_one(
+            pipeline,
+            properties,
+            input_lengths,
+            cache,
+            max_counterexamples,
+            confirm_by_replay,
+            with_instruction_bound,
+        )
+    finally:
+        if store is not None:
+            # Push worker-side miss writes into this worker's shard before
+            # the process can be recycled (see _summarize_worker).
+            store.close()
+    return (
+        certification,
+        cache.statistics.misses,
+        cache.statistics.l2_hits,
+        query_cache.new_entries if query_cache is not None else [],
+        drain_observability(query_cache),
     )
-    merged: List[Tuple[str, Optional[ElementSummary], str]] = []
-    for status, text, _entries, work, extras in results:
-        merge_observability(extras, qstats)
-        if status == EXPLODED:
-            merged.append((status, None, text))
-            continue
-        summary = loads_summary(text)
-        if status == COMPUTED:
-            # Serialization drops the runtime work counters; restore the
-            # worker's so downstream accounting matches a serial run.
-            summary.sat_core_calls, summary.qcache_hits = work
-        merged.append((status, summary, ""))
-    return merged
 
 
 def job_digest(element: Element, input_length: int, options: SymbexOptions) -> str:

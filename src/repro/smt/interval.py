@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .evaluate import evaluate
-from .terms import Op, Term
+from .terms import Op, Term, intern_term
 
 
 @dataclass
@@ -70,8 +70,10 @@ def _conjuncts(term: Term) -> List[Term]:
     return [term]
 
 
-def _term_key(term: Term) -> str:
-    return term.to_sexpr(max_depth=64)
+def _term_key(term: Term) -> int:
+    # Structural identity, not a rendering: a depth-bounded sexpr would let
+    # two subjects that differ only below the cut share one interval.
+    return intern_term(term).uid
 
 
 def quick_check(constraint: Term) -> QuickCheckOutcome:
@@ -87,8 +89,8 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
     if constraint.is_true():
         return QuickCheckOutcome(QuickCheckResult.SAT, model={})
 
-    intervals: Dict[str, Interval] = {}
-    subjects: Dict[str, Term] = {}
+    intervals: Dict[int, Interval] = {}
+    subjects: Dict[int, Term] = {}
     all_understood = True
 
     for conjunct in _conjuncts(constraint):
@@ -100,8 +102,8 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
         if interval.is_empty():
             return QuickCheckOutcome(
                 QuickCheckResult.UNSAT,
-                reason=f"interval for {key} is empty ([{interval.lo}, {interval.hi}]"
-                f" minus {len(interval.excluded)} exclusions)",
+                reason=f"interval for {subjects[key].to_sexpr(max_depth=64)} is empty "
+                f"([{interval.lo}, {interval.hi}] minus {len(interval.excluded)} exclusions)",
             )
 
     if not all_understood:
@@ -115,7 +117,9 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
             return QuickCheckOutcome(QuickCheckResult.UNKNOWN)
         value = intervals[key].pick()
         if value is None:
-            return QuickCheckOutcome(QuickCheckResult.UNSAT, reason=f"no value left for {key}")
+            return QuickCheckOutcome(
+                QuickCheckResult.UNSAT, reason=f"no value left for {subject.name}"
+            )
         model[subject.name] = value  # type: ignore[index]
     # Confirm the model against the original constraint (defensive: interval
     # reasoning over independent variables cannot interact, but evaluation is cheap).
@@ -140,7 +144,7 @@ def _comparison_parts(conjunct: Term) -> Optional[Tuple[str, Term, int, bool]]:
 
 
 def _apply_conjunct(
-    conjunct: Term, intervals: Dict[str, Interval], subjects: Dict[str, Term]
+    conjunct: Term, intervals: Dict[int, Interval], subjects: Dict[int, Term]
 ) -> bool:
     """Fold one conjunct into the interval map.  Returns True if understood."""
     negated = False

@@ -274,8 +274,8 @@ def straggler_catalog(
     :class:`SyntheticBranchyElement` (``2^branches`` paths, so its Step-1
     summary dominates the run) ahead of a pool element, and the remaining
     ``count - 1`` pipelines are the quick :func:`store_scale_catalog`
-    chains.  Under the legacy wave-synchronous pool every quick pipeline's
-    Step-2 verification waits for the straggler's wave to join; the
+    chains.  A phase-gated engine would hold every quick pipeline's Step-2
+    verification until the straggler's summary lands; the
     dependency-aware scheduler verifies them while the straggler is still
     summarizing.  Deterministic, like every workload catalog.
     """

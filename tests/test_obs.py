@@ -371,40 +371,63 @@ class TestSatInstrumentation:
 
 
 class TestWorkerShipping:
-    def _jobs(self):
+    """Worker observability travels back through the parallel fleet engine."""
+
+    def _catalog(self):
         from repro.workloads import fleet_catalog
 
-        pipeline = fleet_catalog(1)[0]
+        return fleet_catalog(1)
+
+    def _jobs(self):
+        pipeline = self._catalog()[0]
         return [(pipeline.elements[0], 24), (pipeline.elements[1], 24)]
 
-    def test_forked_workers_ship_spans_exactly_once(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def _scheduled(self, options, store_root):
+        from repro.orchestrator import SummaryStore, run_scheduled
+        from repro.verify import CrashFreedom
+
+        return run_scheduled(
+            self._catalog(), [CrashFreedom()], (24,), options,
+            workers=2, store=SummaryStore(store_root),
+        )
+
+    def test_forked_workers_ship_spans_exactly_once(self, tmp_path):
         from repro.symbex.engine import SymbexOptions
 
         options = dataclasses.replace(SymbexOptions(), trace=True)
         with active(Tracer()) as t:
-            results = summarize_jobs(self._jobs(), options, workers=2)
-            assert all(status == "computed" for status, _s, _d in results)
+            run = self._scheduled(options, tmp_path)
+            assert run.computed > 0
             spans = t.spans()
         elements = [s for s in spans if s.name == "symbex.element"]
-        assert len(elements) == 2  # one per job, no duplicates
+        assert len(elements) == run.computed  # one per computed job, no duplicates
         assert len({(s.pid, s.sid) for s in spans}) == len(spans)
-        # run_tasks forked: the recording pids are the children's, not ours.
+        # The pool forked: the recording pids are the children's, not ours.
         assert all(s.pid != os.getpid() for s in elements)
 
-    def test_parallel_and_serial_runs_trace_the_same_work(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def test_parallel_and_serial_runs_trace_the_same_work(self, tmp_path):
+        from repro.orchestrator import certify_fleet
         from repro.symbex.engine import SymbexOptions
+        from repro.verify import CrashFreedom
 
         options = dataclasses.replace(SymbexOptions(), trace=True)
 
-        def span_names(workers: int):
-            with active(Tracer()) as t:
-                summarize_jobs(self._jobs(), options, workers=workers)
-                names = sorted(s.name for s in t.spans())
-            return names
+        def work_span_names(spans):
+            # Driver bookkeeping differs by design: scheduler task spans,
+            # each driver's phase spans (fleet category) and cache events
+            # (parallel Step 2 rehydrates from the store).
+            return sorted(
+                s.name for s in spans if s.category not in ("scheduler", "fleet", "cache")
+            )
 
-        assert span_names(workers=1) == span_names(workers=2)
+        with active(Tracer()) as t:
+            certify_fleet(self._catalog(), [CrashFreedom()], input_lengths=(24,), options=options)
+            serial = work_span_names(t.spans())
+        with active(Tracer()) as t:
+            self._scheduled(options, tmp_path)
+            scheduled = work_span_names(t.spans())
+        assert "symbex.element" in serial
+        assert scheduled == serial
 
     def test_disabled_tracer_ships_no_observability(self):
         from repro.orchestrator.workers import _summarize_worker
@@ -421,13 +444,12 @@ class TestWorkerShipping:
         # accumulate whether or not anyone is tracing.
         assert "spans" not in extras and "slow" not in extras
 
-    def test_forked_workers_ship_slow_records(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def test_forked_workers_ship_slow_records(self, tmp_path):
         from repro.symbex.engine import SymbexOptions
 
         set_slow_threshold_ms(0.0)
-        results = summarize_jobs(self._jobs(), SymbexOptions(), workers=2)
-        assert all(status == "computed" for status, _s, _d in results)
+        run = self._scheduled(SymbexOptions(), tmp_path)
+        assert run.computed > 0
         records = slow_solve_log().drain()
         assert records  # the children's threshold crossings arrived here
         assert all("backend" in record for record in records)

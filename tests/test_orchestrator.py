@@ -13,8 +13,6 @@ from repro.orchestrator import (
     encode_terms,
     loads_summary,
     program_fingerprint,
-    run_tasks,
-    summarize_jobs,
     summary_key,
 )
 from repro.orchestrator.errors import OrchestratorError, SerializationError
@@ -109,24 +107,22 @@ class TestSummarySerialization:
         assert loaded_havocs == fresh_havocs
         assert any(s.table_writes for s in loaded.segments)
 
-    def test_loaded_summaries_verify_identically(self):
+    def test_loaded_summaries_verify_identically(self, tmp_path):
         """The tentpole invariant: verification over loaded summaries equals
         verification over freshly computed ones — verdicts and packets."""
-        pipeline = ip_router_pipeline(length=3)
-        fresh_verifier = PipelineVerifier(pipeline, options=SymbexOptions())
-        fresh = fresh_verifier.verify(CrashFreedom(), input_lengths=[24])
+        store = SummaryStore(tmp_path)
+        fresh = PipelineVerifier(
+            ip_router_pipeline(length=3), options=SymbexOptions(), store=store
+        ).verify(CrashFreedom(), input_lengths=[24])
+        store.flush()
 
-        # Round-trip every cached summary through JSON into a new cache.
-        seeded = SummaryCache(SymbexOptions())
-        elements = {element.name: element for element in pipeline.elements}
-        for (config_key, length, _mode), summary in fresh_verifier.cache._summaries.items():
-            loaded = loads_summary(dumps_summary(summary))
-            seeded.seed(elements[loaded.element_name], length, loaded)
-
-        pipeline_again = ip_router_pipeline(length=3)
-        reverifier = PipelineVerifier(pipeline_again, options=SymbexOptions(), cache=seeded)
-        again = reverifier.verify(CrashFreedom(), input_lengths=[24])
-        assert seeded.statistics.misses == 0  # nothing re-executed
+        # Every summary went through JSON into the store; a new cache reads them back.
+        loaded = SummaryCache(SymbexOptions(), store=SummaryStore(tmp_path))
+        again = PipelineVerifier(
+            ip_router_pipeline(length=3), options=SymbexOptions(), cache=loaded
+        ).verify(CrashFreedom(), input_lengths=[24])
+        assert loaded.statistics.misses == 0  # nothing re-executed
+        assert loaded.statistics.l2_hits == len(loaded)
         assert again.verdict == fresh.verdict
         assert [c.packet for c in again.counterexamples] == [
             c.packet for c in fresh.counterexamples
@@ -354,45 +350,48 @@ class TestTieredCache:
         assert cache.statistics.entries == 0 == len(cache)
 
 
-def _double(value):
-    return value * 2
-
-
 class TestWorkers:
-    def test_run_tasks_preserves_order(self):
-        payloads = list(range(8))
-        assert run_tasks(_double, payloads, workers=1) == run_tasks(_double, payloads, workers=3)
+    """The Step-1 task body the scheduler ships to worker processes, run in process."""
 
     def test_summarize_jobs_parallel_matches_serial(self):
-        jobs = [
-            (SyntheticBranchyElement(2, name="s2"), 12),
-            (SyntheticBranchyElement(3, name="s3"), 12),
-        ]
+        from repro.orchestrator.workers import COMPUTED, _summarize_worker
+
         options = SymbexOptions()
-        serial = summarize_jobs(jobs, options, workers=1)
-        parallel = summarize_jobs(jobs, options, workers=2)
-        for (_, fresh, _), (_, shipped, _) in zip(serial, parallel):
+        for element in (
+            SyntheticBranchyElement(2, name="s2"),
+            SyntheticBranchyElement(3, name="s3"),
+        ):
+            fresh = SummaryCache(options).summarize(element, 12)
+            status, text, _entries, _work, _extras = _summarize_worker(
+                (element, 12, options, None)
+            )
+            assert status == COMPUTED
+            shipped = loads_summary(text)
             assert [s.outcome for s in fresh.segments] == [s.outcome for s in shipped.segments]
-            assert [s.constraint is t.constraint for s, t in zip(fresh.segments, shipped.segments)]
+            assert all(
+                s.constraint is t.constraint for s, t in zip(fresh.segments, shipped.segments)
+            )
 
     def test_summarize_jobs_uses_store(self, tmp_path):
-        from repro.orchestrator.workers import COMPUTED, LOADED
+        from repro.orchestrator.workers import COMPUTED, LOADED, _summarize_worker
 
-        element = SyntheticBranchyElement(2, name="stored")
-        options = SymbexOptions()
-        first = summarize_jobs([(element, 12)], options, workers=1, store=str(tmp_path))
-        second = summarize_jobs([(element, 12)], options, workers=1, store=str(tmp_path))
-        assert first[0][0] == COMPUTED
-        assert second[0][0] == LOADED
-        assert len(second[0][1].segments) == len(first[0][1].segments)
+        payload = (SyntheticBranchyElement(2, name="stored"), 12, SymbexOptions(), str(tmp_path))
+        first = _summarize_worker(payload)
+        # The worker wrote into its private shard; the parent folds it in.
+        SummaryStore(tmp_path).merge_shards()
+        second = _summarize_worker(payload)
+        assert first[0] == COMPUTED
+        assert second[0] == LOADED
+        assert second[1] == first[1]
 
     def test_path_explosion_is_shipped_not_raised(self):
-        from repro.orchestrator.workers import EXPLODED
+        from repro.orchestrator.workers import EXPLODED, _summarize_worker
 
-        jobs = [(SyntheticBranchyElement(6, name="wide"), 12)]
-        results = summarize_jobs(jobs, SymbexOptions(max_paths=4, merge="off"), workers=2)
-        status, summary, detail = results[0]
-        assert status == EXPLODED and summary is None and "budget" in detail
+        element = SyntheticBranchyElement(6, name="wide")
+        status, detail, _entries, work, _extras = _summarize_worker(
+            (element, 12, SymbexOptions(max_paths=4, merge="off"), None)
+        )
+        assert status == EXPLODED and work == (0, 0) and "budget" in detail
         # The explosion names the offending element so EXPLODED jobs and
         # trace summaries can attribute it.
         assert "wide" in detail

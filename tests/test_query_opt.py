@@ -1,6 +1,7 @@
 """Tests for the query-optimization layer: slicing, the tiered query cache,
 its persistent L3 store, and the fleet-level wiring."""
 
+import dataclasses
 import random
 
 import pytest
@@ -333,7 +334,7 @@ class TestEngineAndFleetWiring:
         ships its new entries back (the parent merges them on join)."""
         import dataclasses
 
-        from repro.orchestrator.fleet import _certify_worker
+        from repro.orchestrator.workers import _certify_worker
         from repro.orchestrator.store import QueryStore
         from repro.orchestrator.workers import merge_query_entries
         from repro.symbex.engine import SymbexOptions
@@ -357,14 +358,17 @@ class TestEngineAndFleetWiring:
         _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(payload)
         assert warm_entries == []
 
-    def test_parallel_summarize_jobs_preserve_work_counters(self):
+    def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):
         """Worker-computed summaries arrive with their solver-work counters
         restored (serialization drops them), matching a serial engine."""
-        from repro.orchestrator.workers import COMPUTED, summarize_jobs
+        from repro.orchestrator import SummaryStore, run_scheduled
+        from repro.orchestrator.workers import job_digest
         from repro.symbex.engine import SymbexOptions, SymbolicEngine
+        from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
 
-        element = fleet_catalog(1)[0].elements[0]
+        catalog = fleet_catalog(1)
+        element = catalog[0].elements[0]
         options = SymbexOptions()
         serial = SymbolicEngine(options).summarize_element(
             element.program, 24,
@@ -372,10 +376,21 @@ class TestEngineAndFleetWiring:
             element_name=element.name,
             configuration_key=element.configuration_key(),
         )
-        [(status, shipped, _detail)] = summarize_jobs([(element, 24)], options, workers=2)
-        assert status == COMPUTED and shipped is not None
+        run = run_scheduled(
+            catalog, [CrashFreedom()], (24,), options, workers=2, store=SummaryStore(tmp_path)
+        )
+        shipped = run.summaries[job_digest(element, 24, options)]
+        assert serial.sat_core_calls > 0
         assert shipped.sat_core_calls == serial.sat_core_calls
         assert shipped.qcache_hits == serial.qcache_hits
+        # With an L3 tier configured, the slices the read-only workers
+        # solved ride back for the parent to merge.
+        with_l3 = dataclasses.replace(options, query_cache_dir=str(tmp_path / "queries"))
+        run = run_scheduled(
+            catalog, [CrashFreedom()], (24,), with_l3, workers=2,
+            store=SummaryStore(tmp_path / "l3-summaries"),
+        )
+        assert run.query_entries
 
     def test_workers_clamped_to_cpu_count(self):
         import os

@@ -2,9 +2,9 @@
 
 The scheduler's contract is differential — it reorders work, it never
 changes it — so most tests here drive the same catalog through the
-serial, wave-synchronous and scheduled paths and assert the outputs are
-identical.  The container may expose a single CPU (``certify_fleet``
-clamps ``workers`` to the CPU count), so end-to-end tests monkeypatch
+serial and scheduled paths and assert the outputs are identical.  The
+container may expose a single CPU (``certify_fleet`` clamps ``workers``
+to the CPU count), so end-to-end tests monkeypatch
 ``repro.orchestrator.fleet.os.cpu_count`` and graph/pool tests call
 :func:`run_scheduled` directly with an explicit worker count.
 """
@@ -23,13 +23,11 @@ from repro.orchestrator import (
     RiskHistory,
     RiskStore,
     SummaryStore,
-    WorkerPool,
     certify_fleet,
     pipeline_ranks,
     run_scheduled,
-    summarize_jobs,
 )
-from repro.orchestrator.scheduler import FIFO, LARGEST_FIRST, OFF, RISK
+from repro.orchestrator.scheduler import FIFO, RISK
 from repro.orchestrator.workers import _summarize_worker, job_digest
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom
@@ -68,15 +66,6 @@ class TestPipelineRanks:
     def test_fifo_is_catalog_order(self):
         catalog = store_scale_catalog(4)
         assert pipeline_ranks(catalog, FIFO) == [0, 1, 2, 3]
-
-    def test_largest_first_fronts_wide_pipelines(self):
-        catalog = [
-            synthetic_pipeline(2, 1, name="small"),
-            synthetic_pipeline(4, 1, name="large"),
-            synthetic_pipeline(3, 1, name="mid"),
-        ]
-        ranks = pipeline_ranks(catalog, LARGEST_FIRST)
-        assert ranks == [2, 0, 1]  # large first, then mid, then small
 
     def test_risk_without_history_is_fifo(self):
         catalog = store_scale_catalog(3)
@@ -167,23 +156,14 @@ class TestScheduledRun:
             store_scale_catalog(8), [CrashFreedom()], input_lengths=(64,),
             workers=2, store=SummaryStore(tmp_path / "sched"), options=options,
         )
-        wave = certify_fleet(
-            store_scale_catalog(8), [CrashFreedom()], input_lengths=(64,),
-            workers=2, store=SummaryStore(tmp_path / "wave"), options=options,
-            schedule=OFF,
-        )
-        assert scheduled.verdicts() == serial.verdicts() == wave.verdicts()
+        assert scheduled.verdicts() == serial.verdicts()
         assert scheduled.scheduler is not None and scheduled.scheduler.pools_forked == 1
-        assert wave.scheduler is None
+        assert serial.scheduler is None
         for name in (
             "distinct_summary_jobs", "summaries_computed", "store_hits",
             "solver_checks", "sat_core_calls", "qcache_hits", "counterexamples",
         ):
             assert getattr(scheduled.statistics, name) == getattr(serial.statistics, name)
-            assert getattr(scheduled.statistics, name) == getattr(wave.statistics, name)
-        # Step-2 store rehydration is a parallel-only counter; the
-        # scheduler must match the wave path it replaces.
-        assert scheduled.statistics.step2_store_loads == wave.statistics.step2_store_loads
 
     def test_counterexample_packets_match_serial(self, four_cpus, tmp_path):
         serial = certify_fleet(fleet_catalog(2), [CrashFreedom()], input_lengths=(24,))
@@ -229,32 +209,14 @@ class TestScheduledRun:
         # admission batch, not one per digest.
         assert store.statistics.round_trips_saved > 0
 
-    def test_schedule_off_forks_one_pool_across_waves(self, four_cpus, tmp_path, monkeypatch):
-        import repro.orchestrator.fleet as fleet_mod
-
-        forks = []
-        original = fleet_mod.WorkerPool
-
-        class CountingPool(original):
-            def __init__(self, workers):
-                super().__init__(workers)
-                forks.append(self)
-
-        monkeypatch.setattr(fleet_mod, "WorkerPool", CountingPool)
-        report = certify_fleet(
-            store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
-            workers=2, store=SummaryStore(tmp_path), schedule=OFF,
-        )
-        assert len(report.certifications) == 4
-        assert len(forks) == 1  # one shared pool for every wave and Step 2
-        assert forks[0].forks == 1
-
-    def test_unknown_schedule_rejected_up_front(self, tmp_path):
-        with pytest.raises(OrchestratorError):
-            certify_fleet(
-                store_scale_catalog(1), [CrashFreedom()], input_lengths=(64,),
-                schedule="sorted-by-vibes",
-            )
+    def test_unknown_schedule_rejected_up_front(self):
+        # Retired policy names must fail loudly, not fall back to fifo.
+        for schedule in ("sorted-by-vibes", "off", "largest-first"):
+            with pytest.raises(OrchestratorError):
+                certify_fleet(
+                    store_scale_catalog(1), [CrashFreedom()], input_lengths=(64,),
+                    schedule=schedule,
+                )
 
 
 class TestSchedulerDirect:
@@ -284,10 +246,6 @@ class TestSchedulerDirect:
         catalog = store_scale_catalog(5)
         run = self._run(catalog, SummaryStore(tmp_path), workers=1)
         assert run.verify_order == list(range(len(catalog)))
-
-    def test_schedule_off_refused(self, tmp_path):
-        with pytest.raises(OrchestratorError):
-            self._run(store_scale_catalog(1), SummaryStore(tmp_path), schedule=OFF)
 
     def test_crashed_worker_is_respawned_and_task_retried(self, tmp_path):
         catalog = store_scale_catalog(4)
@@ -327,8 +285,7 @@ class TestSchedulerDirect:
         # The scheduler reorders the serial run's symbolic executions; it
         # never adds or drops one.  (Cache hit/miss *events* legitimately
         # differ from serial — parallel Step 2 rehydrates from the store,
-        # serial reads its in-process cache — that is the wave path's
-        # pre-existing behavior, compared exhaustively below.)
+        # serial reads its in-process cache.)
         with active(Tracer()) as t:
             serial = certify_fleet(
                 store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
@@ -343,27 +300,6 @@ class TestSchedulerDirect:
             (s.name, s.args.get("element")) for s in serial_spans if s.category == "symbex"
         )
         assert symbex == serial_symbex
-
-    def test_trace_matches_wave_path_exactly(self, tmp_path, monkeypatch):
-        import repro.orchestrator.fleet as fleet_mod
-
-        monkeypatch.setattr(fleet_mod.os, "cpu_count", lambda: 4)
-        options = dataclasses.replace(SymbexOptions(), trace=True)
-
-        def names(schedule, root):
-            with active(Tracer()) as t:
-                certify_fleet(
-                    store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
-                    workers=2, store=SummaryStore(root), options=options,
-                    schedule=schedule,
-                )
-                return sorted(
-                    s.name for s in t.spans() if s.category != "scheduler"
-                )
-
-        scheduled = names(FIFO, tmp_path / "sched")
-        wave = names(OFF, tmp_path / "wave")
-        assert scheduled == wave
 
     def test_queue_and_idle_gauges_published(self, tmp_path):
         from repro.obs.metrics import metrics
@@ -394,17 +330,3 @@ def _crash_once_worker(payload):
         else:
             os._exit(1)
     return _summarize_worker(payload)
-
-
-class TestWorkerPoolReuse:
-    def test_one_fork_across_many_batches(self):
-        jobs = [(p.entry_elements()[0], 64) for p in store_scale_catalog(3)]
-        with WorkerPool(2) as pool:
-            for _ in range(3):
-                results = summarize_jobs(jobs, SymbexOptions(), workers=2, pool=pool)
-                assert all(status == "computed" for status, _s, _d in results)
-            assert pool.forks == 1
-
-    def test_lazy_fork_only_on_parallel_work(self):
-        with WorkerPool(2) as pool:
-            assert pool.forks == 0

@@ -18,6 +18,8 @@ from repro.smt import (
     Not,
     Or,
     Solver,
+    SolverContext,
+    UGE,
     UGT,
     ULE,
     ULT,
@@ -300,6 +302,27 @@ class TestQuickCheck:
         assert empty.status == QuickCheckResult.UNSAT
         excluded = quick_check(And(Not(Eq(b, BitVecVal(0, 1))), Not(Eq(b, BitVecVal(1, 1)))))
         assert excluded.status == QuickCheckResult.UNSAT
+
+    def test_subjects_differing_below_depth_64_get_separate_intervals(self):
+        # x^k0^...^k69 and y^k0^...^k69 differ only at their deepest leaf, 70
+        # levels down.  Keyed by a depth-bounded rendering they would share
+        # one interval, [0, 4] ∩ [10, 255], and be refuted although
+        # x = 0^k0^...^k69, y = 10^k0^...^k69 satisfies both conjuncts.
+        x, y = BitVec("x", 8), BitVec("y", 8)
+        for k in range(70):
+            x, y = x ^ BitVecVal(k, 8), y ^ BitVecVal(k, 8)
+        formula = And(ULT(x, 5), UGE(y, 10))
+        assert quick_check(formula).status != QuickCheckResult.UNSAT
+
+        solver = Solver()
+        solver.add(formula)
+        assert solver.check() == CheckResult.SAT
+        assert evaluate(formula, solver.model().as_dict()) is True
+
+        context = SolverContext()
+        context.assert_term(formula)
+        assert context.check_assumptions() == CheckResult.SAT
+        assert evaluate(formula, context.model().as_dict()) is True
 
 
 @st.composite
