@@ -1,29 +1,22 @@
-"""E12 — fleet-scale store tier: the backends race at 1,000 pipelines.
+"""E12 — fleet-scale store tier: 1,000 pipelines through the SQLite stores.
 
-The store-backend seam (:mod:`repro.orchestrator.backends`) exists for
-exactly one scale: a catalog large enough that per-pipeline store traffic
-— verdict records, fingerprint probes, L3 query entries — would dominate
-a JSON one-file-per-entry layout.  This bench certifies a 1,000-pipeline
-catalog (:func:`repro.workloads.store_scale_catalog`: every pipeline a
-distinct fingerprint, all of them built from six shared element
-configurations, so Step 1 stays six jobs) twice per backend — cold, then
-a warm delta re-certification — and checks the claims the store tier is
-sold on:
+The store tier exists for exactly one scale: a catalog large enough that
+per-pipeline store traffic — verdict records, fingerprint probes, L3
+query entries — could dominate the run.  This bench certifies a
+1,000-pipeline catalog (:func:`repro.workloads.store_scale_catalog`:
+every pipeline a distinct fingerprint, all of them built from six shared
+element configurations, so Step 1 stays six jobs) twice — cold, then a
+warm delta re-certification through freshly opened stores — and checks
+the claims the store tier is sold on:
 
-* **differential** — both backends produce identical verdicts and
-  identical hit/miss/put statistics on every tier; the backend changes
-  where bytes live, never what the orchestrator sees;
 * **store does not dominate** — on the cold run, store I/O stays under
-  the time spent actually verifying (both backends);
-* **batched beats per-file when warm** — SQLite's warm store I/O beats
-  JSON's by >= 3x at full scale (>= 1.5x in quick mode, where the
-  catalog is too small to amortize the constant costs);
+  the time spent actually verifying;
 * **delta mode at scale** — the warm run reuses every one of the 1,000
-  verdicts and performs zero symbolic executions, on both backends.
+  verdicts and performs zero symbolic executions.
 
 A raw entry-traffic microbenchmark (N writes + N reads through a
-:class:`QueryStore` on each backend) rides along in the JSON output so
-the per-entry costs are visible separately from the end-to-end run.
+:class:`QueryStore`) rides along in the JSON output so the per-entry
+costs are visible separately from the end-to-end run.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-smoke-sized run.
 """
@@ -43,18 +36,15 @@ INPUT_LENGTHS = (24,)
 #: The catalog is chains over six shared element configurations, so a
 #: cold run at any catalog size performs exactly six symbolic executions.
 DISTINCT_JOBS = 6
-BACKENDS = ("json", "sqlite")
-#: Warm store-I/O advantage the SQLite backend must keep over JSON files.
-WARM_IO_FLOOR = 1.5 if QUICK else 3.0
 #: Raw microbenchmark entry count.
 RAW_ENTRIES = 400 if QUICK else 2000
 
 
-def _open_stores(root, backend):
+def _open_stores(root):
     return (
-        SummaryStore(os.path.join(root, "summaries"), backend=backend),
-        VerdictStore(os.path.join(root, "verdicts"), backend=backend),
-        QueryStore(os.path.join(root, "queries"), backend=backend),
+        SummaryStore(os.path.join(root, "summaries")),
+        VerdictStore(os.path.join(root, "verdicts")),
+        QueryStore(os.path.join(root, "queries")),
     )
 
 
@@ -62,28 +52,10 @@ def _store_io(*stores):
     return sum(store.statistics.io_seconds for store in stores)
 
 
-def _tier_counters(*stores):
-    """The backend-independent store traffic: hits/misses/puts per tier.
-
-    ``io_seconds`` (the thing the backends differ on), ``bytes_written``
-    (layout overhead differs) and ``busy_retries`` (SQLite-only) are
-    deliberately excluded — everything left must match across backends.
-    """
-    return [
-        {
-            "hits": store.statistics.hits,
-            "misses": store.statistics.misses,
-            "puts": store.statistics.puts,
-            "quarantined": store.statistics.quarantined,
-        }
-        for store in stores
-    ]
-
-
-def run_backend(backend):
-    """Cold + warm certification of the catalog on one backend."""
-    with tempfile.TemporaryDirectory(prefix=f"repro-bench-store-{backend}-") as root:
-        cold_stores = _open_stores(root, backend)
+def run_cold_and_warm():
+    """Cold + warm certification of the catalog."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as root:
+        cold_stores = _open_stores(root)
         started = clock()
         cold = certify_fleet(
             store_scale_catalog(CATALOG_SIZE),
@@ -101,7 +73,7 @@ def run_backend(backend):
         # Fresh store objects over the same roots: the warm run pays real
         # (re)open and read costs, exactly like a new CI job or operator
         # invocation would.
-        warm_stores = _open_stores(root, backend)
+        warm_stores = _open_stores(root)
         started = clock()
         warm = certify_fleet(
             store_scale_catalog(CATALOG_SIZE),
@@ -120,9 +92,6 @@ def run_backend(backend):
             for result in certification.results
         )
         return {
-            "backend": backend,
-            "verdicts": cold.verdicts(),
-            "cold_counters": _tier_counters(*cold_stores),
             "cold": {
                 "seconds": cold_seconds,
                 "store_io_seconds": cold_io,
@@ -142,11 +111,11 @@ def run_backend(backend):
         }
 
 
-def run_raw_traffic(backend):
+def run_raw_traffic():
     """Raw per-entry store traffic: N payload writes, then N reads back."""
     payload = {"verdict": "unsat", "core": list(range(24)), "v": 1}
-    with tempfile.TemporaryDirectory(prefix=f"repro-bench-raw-{backend}-") as root:
-        store = QueryStore(root, backend=backend)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-raw-") as root:
+        store = QueryStore(root)
         started = clock()
         for index in range(RAW_ENTRIES):
             store.save_payload(f"{index:064x}", payload)
@@ -161,77 +130,45 @@ def run_raw_traffic(backend):
     return {"write_seconds": write_seconds, "read_seconds": read_seconds}
 
 
-def run_comparison():
-    return {backend: run_backend(backend) for backend in BACKENDS}
-
-
 def test_store_scale(benchmark, bench_json):
-    runs = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    raw = {backend: run_raw_traffic(backend) for backend in BACKENDS}
-
-    json_run, sqlite_run = runs["json"], runs["sqlite"]
-    warm_io_ratio = json_run["warm"]["store_io_seconds"] / max(
-        sqlite_run["warm"]["store_io_seconds"], 1e-9
-    )
-    warm_wall_ratio = json_run["warm"]["seconds"] / max(
-        sqlite_run["warm"]["seconds"], 1e-9
-    )
+    run = benchmark.pedantic(run_cold_and_warm, rounds=1, iterations=1)
+    raw = run_raw_traffic()
 
     print(f"\n--- E12: store scale ({CATALOG_SIZE} pipelines, "
           f"{DISTINCT_JOBS} distinct Step-1 jobs) ---")
-    print(f"{'backend':>8} | {'cold (s)':>9} | {'cold io':>8} | {'io frac':>7} | "
+    print(f"{'cold (s)':>9} | {'cold io':>8} | {'io frac':>7} | "
           f"{'warm (s)':>9} | {'warm io':>8}")
-    for backend in BACKENDS:
-        run = runs[backend]
-        print(f"{backend:>8} | {run['cold']['seconds']:>9.2f} | "
-              f"{run['cold']['store_io_seconds']:>8.3f} | "
-              f"{run['cold']['store_fraction']:>7.1%} | "
-              f"{run['warm']['seconds']:>9.2f} | "
-              f"{run['warm']['store_io_seconds']:>8.3f}")
-    print(f"warm store-io ratio json/sqlite: {warm_io_ratio:.2f}x "
-          f"(wall {warm_wall_ratio:.2f}x)")
+    print(f"{run['cold']['seconds']:>9.2f} | "
+          f"{run['cold']['store_io_seconds']:>8.3f} | "
+          f"{run['cold']['store_fraction']:>7.1%} | "
+          f"{run['warm']['seconds']:>9.2f} | "
+          f"{run['warm']['store_io_seconds']:>8.3f}")
+    print(f"raw traffic ({RAW_ENTRIES} entries): write {raw['write_seconds']:.3f}s, "
+          f"read {raw['read_seconds']:.3f}s")
 
     bench_json(
         "store_scale",
         {
             "catalog_size": CATALOG_SIZE,
-            "json": {key: json_run[key] for key in ("cold", "warm")},
-            "sqlite": {key: sqlite_run[key] for key in ("cold", "warm")},
-            "warm_store_io_ratio": warm_io_ratio,
-            "warm_wall_ratio": warm_wall_ratio,
-            "raw": raw,
+            "sqlite": run,
+            "raw": {"sqlite": raw},
         },
     )
 
-    # Differential: the backend changes where bytes live, never verdicts
-    # or tier traffic.  Every pipeline certifies identically, and the
-    # hit/miss/put counters agree tier by tier.
-    assert sqlite_run["verdicts"] == json_run["verdicts"]
-    assert sqlite_run["cold_counters"] == json_run["cold_counters"]
-
-    for backend in BACKENDS:
-        run = runs[backend]
-        # The catalog shares six element configurations across the whole
-        # fleet: a cold run symbolically executes exactly those.
-        assert run["cold"]["distinct_summary_jobs"] == DISTINCT_JOBS
-        assert run["cold"]["summaries_computed"] == DISTINCT_JOBS
-        assert run["cold"]["certified"] == CATALOG_SIZE
-        assert run["cold"]["rejected"] == 0
-        # Delta mode at scale: the warm run serves every verdict from the
-        # store and re-executes nothing.
-        assert run["warm"]["verdicts_reused"] == CATALOG_SIZE
-        assert run["warm"]["summaries_computed"] == 0
-        # The store tier must not dominate the cold run: I/O stays under
-        # the non-store (symbex + composition + solver) time.
-        non_store = run["cold"]["seconds"] - run["cold"]["store_io_seconds"]
-        assert run["cold"]["store_io_seconds"] < non_store, (
-            f"{backend}: store I/O {run['cold']['store_io_seconds']:.3f}s dominates "
-            f"the cold run ({run['cold']['seconds']:.3f}s total)"
-        )
-
-    # The point of the batched backend: warm fleet re-certification store
-    # traffic is >= 3x cheaper than per-file JSON (>= 1.5x in quick mode).
-    assert warm_io_ratio >= WARM_IO_FLOOR, (
-        f"sqlite warm store I/O only {warm_io_ratio:.2f}x faster than json "
-        f"(need >= {WARM_IO_FLOOR}x)"
+    # The catalog shares six element configurations across the whole
+    # fleet: a cold run symbolically executes exactly those.
+    assert run["cold"]["distinct_summary_jobs"] == DISTINCT_JOBS
+    assert run["cold"]["summaries_computed"] == DISTINCT_JOBS
+    assert run["cold"]["certified"] == CATALOG_SIZE
+    assert run["cold"]["rejected"] == 0
+    # Delta mode at scale: the warm run serves every verdict from the
+    # store and re-executes nothing.
+    assert run["warm"]["verdicts_reused"] == CATALOG_SIZE
+    assert run["warm"]["summaries_computed"] == 0
+    # The store tier must not dominate the cold run: I/O stays under
+    # the non-store (symbex + composition + solver) time.
+    non_store = run["cold"]["seconds"] - run["cold"]["store_io_seconds"]
+    assert run["cold"]["store_io_seconds"] < non_store, (
+        f"store I/O {run['cold']['store_io_seconds']:.3f}s dominates "
+        f"the cold run ({run['cold']['seconds']:.3f}s total)"
     )

@@ -11,7 +11,8 @@ Five subcommands, one per operational question:
   against committed baselines.
 * ``trace`` — where did a certification spend its time?  Summarize a
   ``--trace`` export per phase / pipeline / element.
-* ``store`` — maintenance (``gc``, ``stats``) for the on-disk tiers.
+* ``store`` — maintenance (``gc``, ``stats``, ``migrate``) for the
+  on-disk SQLite tiers.
 
 Exit codes are documented in :mod:`repro.cli`; ``main`` returns them
 instead of raising ``SystemExit`` so tests can call it in-process.
@@ -117,12 +118,6 @@ def _build_parser() -> _Parser:
     )
     certify.add_argument("--store", metavar="DIR", help="summary store directory (L2 tier)")
     certify.add_argument(
-        "--store-backend", choices=("json", "sqlite"), default=None, metavar="NAME",
-        help="store backend for every tier: json (one file per entry) or sqlite "
-             "(batched single-file WAL database); default auto-detects from the "
-             "store layout, json for fresh roots",
-    )
-    certify.add_argument(
         "--verdict-store", metavar="DIR",
         help="verdict store directory: enables delta mode (unchanged pipelines reuse verdicts)",
     )
@@ -221,12 +216,15 @@ def _build_parser() -> _Parser:
     )
     compare.add_argument("--json", action="store_true", help="print per-metric checks as JSON")
 
-    store = commands.add_parser("store", help="maintain the on-disk store tiers")
+    store = commands.add_parser(
+        "store", help="maintain the on-disk SQLite store tiers (gc, stats, migrate)"
+    )
     store_commands = store.add_subparsers(dest="store_command", required=True)
     for verb, text in (("gc", "sweep debris and optionally evict old entries"),
                        ("stats", "print entry counts and sizes"),
                        ("migrate", "migrate store roots to the current SQLite schema "
-                                   "(JSON layout -> SQLite, or v(N) -> v(N+1) in place)")):
+                                   "(retired JSON file layout -> SQLite, or "
+                                   "v(N) -> v(N+1) in place)")):
         sub = store_commands.add_parser(verb, help=text)
         sub.add_argument("--store", metavar="DIR", help="summary store directory")
         sub.add_argument("--verdict-store", metavar="DIR", help="verdict store directory")
@@ -280,20 +278,11 @@ def _run_certify(args: argparse.Namespace) -> int:
         baseline=baseline,
         input_lengths=_parse_lengths(args.lengths),
         workers=args.workers,
-        store=SummaryStore(args.store, backend=args.store_backend) if args.store else None,
-        verdict_store=(
-            VerdictStore(args.verdict_store, backend=args.store_backend)
-            if args.verdict_store else None
-        ),
-        query_store=(
-            QueryStore(args.query_store, backend=args.store_backend)
-            if args.query_store else None
-        ),
+        store=SummaryStore(args.store) if args.store else None,
+        verdict_store=VerdictStore(args.verdict_store) if args.verdict_store else None,
+        query_store=QueryStore(args.query_store) if args.query_store else None,
         schedule=args.schedule,
-        risk_store=(
-            RiskStore(args.risk_store, backend=args.store_backend)
-            if args.risk_store else None
-        ),
+        risk_store=RiskStore(args.risk_store) if args.risk_store else None,
         options=options,
         max_counterexamples=args.max_counterexamples,
         confirm_by_replay=not args.no_replay,
@@ -507,7 +496,6 @@ def _run_store(args: argparse.Namespace) -> int:
         else:
             entry: dict = {
                 "root": str(store.root),
-                "backend": store.backend_name,
                 "entries": len(store),
                 "bytes": store.size_bytes(),
             }
@@ -518,7 +506,7 @@ def _run_store(args: argparse.Namespace) -> int:
                     entry["tier_rates"] = _query_tier_rates(metrics)
             document["stores"][label] = entry
             if not args.json:
-                print(f"{label} store {store.root} [{store.backend_name}]: "
+                print(f"{label} store {store.root}: "
                       f"{len(store)} entries, {store.size_bytes()} bytes")
                 rates = entry.get("tier_rates")
                 if rates:

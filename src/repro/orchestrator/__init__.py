@@ -25,11 +25,8 @@ Typical usage::
 from .backends import (
     SQLITE_FILENAME,
     STORE_SCHEMA_VERSION,
-    JsonFileBackend,
     MigrationResult,
     SqliteBackend,
-    detect_backend_name,
-    make_backend,
     migrate_store,
 )
 from .errors import OrchestratorError, SerializationError, StoreError
@@ -67,7 +64,6 @@ from .serialize import (
 )
 from .store import (
     GcResult,
-    JsonFileStore,
     QueryStore,
     Store,
     StoreStatistics,
@@ -101,8 +97,6 @@ __all__ = [
     "FleetStatistics",
     "GcResult",
     "JobGraph",
-    "JsonFileBackend",
-    "JsonFileStore",
     "MigrationResult",
     "OrchestratorError",
     "PersistentPool",
@@ -127,13 +121,11 @@ __all__ = [
     "catalog_manifest",
     "certify_fleet",
     "decode_terms",
-    "detect_backend_name",
     "diff_catalogs",
     "diff_manifests",
     "dumps_summary",
     "encode_terms",
     "loads_summary",
-    "make_backend",
     "migrate_store",
     "pipeline_ranks",
     "program_fingerprint",

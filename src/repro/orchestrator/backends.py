@@ -1,37 +1,29 @@
-"""Pluggable entry backends for the content-addressed store tiers.
+"""The SQLite entry backend behind every content-addressed store tier.
 
 Every persistent tier (:class:`~repro.orchestrator.store.SummaryStore`,
 :class:`~repro.orchestrator.verdicts.VerdictStore`,
-:class:`~repro.orchestrator.store.QueryStore`) speaks one small raw-entry
-protocol — ``read`` / ``write`` / ``quarantine`` / ``gc`` over
-``digest -> text`` pairs plus a cumulative metrics sidecar — and this
-module provides the two interchangeable implementations behind it,
-mirroring the SAT-backend seam in :mod:`repro.smt.backend`:
+:class:`~repro.orchestrator.store.QueryStore`,
+:class:`~repro.orchestrator.risk.RiskStore`) keeps its ``digest -> text``
+entries and a cumulative metrics record in one ``store.sqlite`` per store
+root (:class:`SqliteBackend`): WAL journal, one connection per process,
+writes buffered and flushed as ``INSERT OR REPLACE`` batches, lock
+contention absorbed by a busy-timeout plus jittered-backoff retry.
+Worker processes never write the main database at all: a *shard view*
+reads the main file and appends to a private ``shards/<tag>.sqlite``,
+which the parent bulk-merges (``ATTACH`` + ``INSERT OR REPLACE ...
+SELECT``) after the pool joins — merge-on-join costs one statement per
+shard, not one write per entry.
 
-* :class:`JsonFileBackend` — one file per entry under a two-level digest
-  fan-out, atomic temp-file + rename writes.  Simple, debuggable with
-  ``ls``, safe for any number of concurrent writers — and priced at one
-  filesystem round trip per entry, which is exactly what stops scaling
-  at fleet size.
-* :class:`SqliteBackend` — one ``store.sqlite`` per store root: WAL
-  journal, one connection per process, writes buffered and flushed as
-  ``INSERT OR REPLACE`` batches, lock contention absorbed by a
-  busy-timeout plus jittered-backoff retry.  Worker processes never
-  write the main database at all: a *shard view* reads the main file
-  and appends to a private ``shards/<tag>.sqlite``, which the parent
-  bulk-merges (``ATTACH`` + ``INSERT OR REPLACE ... SELECT``) after the
-  pool joins — merge-on-join costs one statement per shard, not one
-  rename per entry.
-
-Backends are selected per store root and **auto-detected from the disk
-layout** (a ``store.sqlite`` means SQLite, a digest fan-out means JSON
-files), so worker processes handed a bare root path always open the
-right implementation.  The SQLite schema is versioned in the database
-itself; opening a database from a *newer* repro fails loudly, an *older*
-one points at ``python -m repro store migrate``, and a file that is not
-a store at all (torn write, truncation) is quarantined aside exactly
-like a corrupt JSON entry.  :func:`migrate_store` performs the explicit
-migrations: JSON layout -> SQLite, and SQLite v(N) -> v(N+1) in place.
+The schema is versioned in the database itself; opening a database from
+a *newer* repro fails loudly, an *older* one points at ``python -m repro
+store migrate``, and a file that is not a store at all (torn write,
+truncation) is quarantined aside and replaced by a fresh database.
+:func:`migrate_store` performs the explicit migrations: SQLite v(N) ->
+v(N+1) in place, and the retired one-JSON-file-per-entry layout
+(``<root>/<digest[:2]>/<digest>.json`` plus a ``metrics.json`` sidecar)
+-> SQLite.  That legacy layout is only ever read by migration: opening a
+store on a root that still holds it raises :class:`StoreError` naming
+the migrate command, before any database file is created.
 """
 
 from __future__ import annotations
@@ -50,21 +42,12 @@ from .errors import StoreError
 
 __all__ = [
     "GcResult",
-    "JSON_BACKEND",
-    "JsonFileBackend",
     "MigrationResult",
-    "SQLITE_BACKEND",
     "SQLITE_FILENAME",
     "STORE_SCHEMA_VERSION",
     "SqliteBackend",
-    "default_backend_name",
-    "detect_backend_name",
-    "make_backend",
     "migrate_store",
 ]
-
-JSON_BACKEND = "json"
-SQLITE_BACKEND = "sqlite"
 
 #: The single-file SQLite database holding every entry of a store root.
 SQLITE_FILENAME = "store.sqlite"
@@ -76,8 +59,7 @@ SQLITE_FILENAME = "store.sqlite"
 #: changes and register an upgrade in :data:`_SQLITE_MIGRATIONS`.
 STORE_SCHEMA_VERSION = 2
 
-#: Suffix given to quarantined (corrupt) entries and databases; never
-#: matches the entry glob, so quarantined garbage is invisible to reads.
+#: Suffix given to a quarantined (corrupt) database; gc sweeps it as debris.
 QUARANTINE_SUFFIX = ".corrupt"
 
 #: Writes buffered before an automatic flush (one INSERT OR REPLACE batch).
@@ -145,177 +127,6 @@ def _fold_metrics(totals: dict, counters: dict) -> dict:
     return totals
 
 
-# -- JSON-file backend ----------------------------------------------------------------
-
-
-class JsonFileBackend:
-    """One file per entry: ``<root>/<digest[:2]>/<digest>.json``.
-
-    The two-level fan-out keeps directories small for fleet-sized stores;
-    writes are atomic (temp file + rename), so any number of processes
-    can share one root without locks — the worst case under a racing
-    write is one redundant computation, never a torn read.
-    """
-
-    name = JSON_BACKEND
-
-    #: Cumulative-counters sidecar (see :meth:`record_metrics`).
-    METRICS_NAME = "metrics.json"
-
-    def __init__(self, root: Path, kind: str = "store") -> None:
-        self.root = root
-        self.kind = kind
-
-    def entry_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    # -- raw entry I/O ---------------------------------------------------------------
-
-    def read(self, digest: str) -> Optional[str]:
-        path = self.entry_path(digest)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StoreError(f"cannot read {self.kind} entry {path}: {exc}") from exc
-        try:
-            # A successful read refreshes the entry's mtime, so gc's age
-            # horizon means "not *touched* for N days".
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - racing removal: entry already gone
-            pass
-        return text
-
-    def write(self, digest: str, text: str) -> None:
-        path = self.entry_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temp = path.parent / f".{digest}.{os.getpid()}.tmp"
-            temp.write_text(text)
-            os.replace(temp, path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {self.kind} entry {path}: {exc}") from exc
-
-    def write_many(self, rows: Iterable[Tuple[str, str, float]]) -> int:
-        """Bulk insert ``(digest, text, mtime)`` rows (used by migration)."""
-        written = 0
-        for digest, text, mtime in rows:
-            self.write(digest, text)
-            try:
-                os.utime(self.entry_path(digest), (mtime, mtime))
-            except OSError:  # pragma: no cover - racing removal
-                pass
-            written += 1
-        return written
-
-    def read_many(self, digests: Sequence[str]) -> Dict[str, str]:
-        """Bulk read: present entries by digest (files offer no batching win)."""
-        found: Dict[str, str] = {}
-        for digest in digests:
-            text = self.read(digest)
-            if text is not None:
-                found[digest] = text
-        return found
-
-    def quarantine(self, digest: str) -> None:
-        path = self.entry_path(digest)
-        try:
-            os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink: entry already gone
-                pass
-
-    def contains(self, digest: str) -> bool:
-        return self.entry_path(digest).is_file()
-
-    # -- maintenance -----------------------------------------------------------------
-
-    def count(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def size_bytes(self) -> int:
-        # _size_of (not a bare stat): entries may vanish between the
-        # directory scan and the stat — see the gc race note below.
-        return sum(_size_of(path) for path in self.root.glob("??/*.json"))
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.root.glob("??/*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
-        result = GcResult()
-        # The one legitimate wall-clock read in the store layer: the age
-        # horizon compares against file *mtimes*, which are wall-clock
-        # timestamps — perf_counter has no defined epoch to compare them to.
-        now = wall_clock()
-        for path in self.root.glob(f"??/*{QUARANTINE_SUFFIX}"):
-            result.bytes_freed += _size_of(path)
-            path.unlink(missing_ok=True)
-            result.removed_debris += 1
-        for path in self.root.glob("??/.*.tmp"):
-            mtime = _mtime_of(path)
-            if mtime is not None and now - mtime > 60:
-                result.bytes_freed += _size_of(path)
-                path.unlink(missing_ok=True)
-                result.removed_debris += 1
-        for path in self.root.glob("??/*.json"):
-            # A concurrent writer may unlink an entry between the listing
-            # and the stat; a vanished entry is neither kept nor removed.
-            mtime = _mtime_of(path)
-            if mtime is None:
-                continue
-            if older_than_seconds is not None and now - mtime > older_than_seconds:
-                result.bytes_freed += _size_of(path)
-                path.unlink(missing_ok=True)
-                result.removed_entries += 1
-            else:
-                result.kept_entries += 1
-        return result
-
-    # -- metrics sidecar -------------------------------------------------------------
-
-    def load_metrics(self) -> dict:
-        try:
-            payload = json.loads((self.root / self.METRICS_NAME).read_text())
-        except (OSError, ValueError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
-    def record_metrics(self, counters: dict) -> dict:
-        """Fold one run's counters into the sidecar; returns the new totals.
-
-        The write is atomic like every entry write, so concurrent
-        recorders lose at worst one run's increment, never the file.
-        """
-        totals = _fold_metrics(self.load_metrics(), counters)
-        path = self.root / self.METRICS_NAME
-        temp = self.root / f".{self.METRICS_NAME}.{os.getpid()}.tmp"
-        try:
-            temp.write_text(json.dumps(totals, sort_keys=True))
-            os.replace(temp, path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {self.kind} metrics {path}: {exc}") from exc
-        return totals
-
-    # -- lifecycle / sharding (trivial for files) ------------------------------------
-
-    def flush(self) -> None:
-        """Atomic per-entry writes have nothing buffered."""
-
-    def close(self) -> None:
-        pass
-
-    def merge_shards(self, only=None) -> int:
-        """File stores never shard: workers write entries atomically in place."""
-        return 0
-
-
 # -- SQLite backend -------------------------------------------------------------------
 
 _SCHEMA_STATEMENTS = (
@@ -336,8 +147,6 @@ class SqliteBackend:
     connection is process-private; a backend inherited through ``fork``
     transparently reopens on first use in the child.
     """
-
-    name = SQLITE_BACKEND
 
     def __init__(
         self,
@@ -382,9 +191,9 @@ class SqliteBackend:
             self._validate_main()
         except sqlite3.DatabaseError:
             # Not a SQLite file at all (torn write, truncation, random
-            # garbage): quarantine the database exactly like a corrupt
-            # JSON entry and start fresh — the store is a cache, so the
-            # price is recomputation, never a wrong answer.
+            # garbage): move the database aside and start fresh — the
+            # store is a cache, so the price is recomputation, never a
+            # wrong answer.
             self._quarantine_database()
             self._read_conn = self._connect(self.path)
             self._initialize(self._read_conn)
@@ -615,9 +424,9 @@ class SqliteBackend:
     def quarantine(self, digest: str) -> None:
         """Drop a corrupt entry (row removal *is* the quarantine for rows).
 
-        Unlike files there is no rename-aside for a single row; the
-        payload is garbage JSON inside a healthy database, so deletion
-        loses nothing worth a post-mortem.
+        There is no rename-aside for a single row; the payload is
+        garbage inside a healthy database, so deletion loses nothing
+        worth a post-mortem.
         """
         self._pending.pop(digest, None)
         self._touched.pop(digest, None)
@@ -666,11 +475,9 @@ class SqliteBackend:
         )[0]
 
     def clear(self) -> int:
-        self._pending.clear()
-        self._touched.clear()
-        self._ensure_process()
-        assert self._write_conn is not None
+        # count() flushes first, so buffered writes are counted as removed.
         removed = self.count()
+        assert self._write_conn is not None
         self._retry(lambda: self._write_conn.execute("DELETE FROM entries"))
         return removed
 
@@ -738,8 +545,7 @@ class SqliteBackend:
 
         The read-fold-write runs inside one ``BEGIN IMMEDIATE``
         transaction, so concurrent recorders serialize instead of losing
-        increments — strictly better than the JSON sidecar's
-        last-writer-wins.
+        increments.
         """
         self._ensure_process()
         assert self._write_conn is not None
@@ -873,64 +679,7 @@ class SqliteBackend:
         return merged
 
 
-# -- selection and migration ----------------------------------------------------------
-
-
-def default_backend_name() -> str:
-    """The backend used for brand-new store roots.
-
-    JSON files unless ``REPRO_STORE_BACKEND`` says otherwise — existing
-    deployments keep their inspectable one-file-per-entry layout until
-    they opt in (``--store-backend sqlite`` / the env var / migration).
-    """
-    name = os.environ.get("REPRO_STORE_BACKEND", JSON_BACKEND)
-    if name not in (JSON_BACKEND, SQLITE_BACKEND):
-        raise StoreError(
-            f"unknown REPRO_STORE_BACKEND {name!r} (expected {JSON_BACKEND} or {SQLITE_BACKEND})"
-        )
-    return name
-
-
-def detect_backend_name(root: Path) -> Optional[str]:
-    """What backend already lives at ``root``, or ``None`` for a fresh root."""
-    if (root / SQLITE_FILENAME).exists():
-        return SQLITE_BACKEND
-    if (root / JsonFileBackend.METRICS_NAME).exists():
-        return JSON_BACKEND
-    try:
-        next(root.glob("??/*.json*"))
-        return JSON_BACKEND
-    except (StopIteration, OSError):
-        return None
-
-
-def make_backend(
-    root: Path,
-    requested: Optional[str] = None,
-    kind: str = "store",
-    statistics: Optional[object] = None,
-    shard: Optional[str] = None,
-):
-    """Open the backend for a store root.
-
-    ``requested`` pins the implementation; ``None`` auto-detects from the
-    disk layout and falls back to :func:`default_backend_name` for fresh
-    roots.  Requesting a backend *different* from what is on disk is a
-    loud error pointing at migration — two half-populated layouts in one
-    root would silently split the cache.
-    """
-    detected = detect_backend_name(root)
-    name = requested or detected or default_backend_name()
-    if requested is not None and detected is not None and requested != detected:
-        raise StoreError(
-            f"{kind} at {root} holds a {detected} layout but backend {requested!r} was "
-            "requested; run `python -m repro store migrate` instead of mixing layouts"
-        )
-    if name == SQLITE_BACKEND:
-        return SqliteBackend(root, kind=kind, statistics=statistics, shard=shard)
-    if name == JSON_BACKEND:
-        return JsonFileBackend(root, kind=kind)
-    raise StoreError(f"unknown store backend {name!r}")
+# -- migration ----------------------------------------------------------------------
 
 
 @dataclass
@@ -960,8 +709,7 @@ def _migrate_v1_to_v2(connection: sqlite3.Connection) -> None:
     """v1 -> v2: per-entry mtimes (age-horizon gc) + in-database metrics.
 
     Existing entries are stamped with the migration time — the most
-    conservative age (nothing becomes instantly evictable), matching how
-    a restored-from-backup JSON store would look.
+    conservative age (nothing becomes instantly evictable).
     """
     columns = {row[1] for row in connection.execute("PRAGMA table_info(entries)")}
     if "mtime" not in columns:
@@ -973,6 +721,17 @@ def _migrate_v1_to_v2(connection: sqlite3.Connection) -> None:
 _SQLITE_MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     1: _migrate_v1_to_v2,
 }
+
+
+#: The legacy JSON layout's cumulative-counters sidecar.
+_JSON_METRICS_NAME = "metrics.json"
+
+
+def _has_json_layout(root: Path) -> bool:
+    """Whether ``root`` holds the legacy JSON layout and no SQLite database."""
+    if (root / SQLITE_FILENAME).exists():
+        return False
+    return (root / _JSON_METRICS_NAME).exists() or any(root.glob("??/*.json*"))
 
 
 def _collect_json_entries(root: Path) -> List[Tuple[str, str, float]]:
@@ -991,36 +750,38 @@ def _collect_json_entries(root: Path) -> List[Tuple[str, str, float]]:
 def migrate_store(root, kind: str = "store") -> MigrationResult:
     """Migrate one store root to the current SQLite schema, in place.
 
-    * JSON layout -> SQLite: every entry is bulk-inserted (mtimes
-      preserved, so gc age horizons survive), the metrics sidecar moves
-      into the ``meta`` table, and the JSON files are removed only after
-      the SQLite database is fully written.
+    * Legacy JSON layout -> SQLite: every entry is bulk-inserted (mtimes
+      preserved, so gc age horizons survive), the ``metrics.json`` sidecar
+      moves into the ``meta`` table, and the JSON files are removed only
+      after the SQLite database is fully written.
     * SQLite v(N) -> v(N+1): registered upgrades run stepwise inside one
       transaction per step.
+    * A fresh root gets an empty current-schema database.
     * A schema from a *newer* repro raises :class:`StoreError` — refusing
       unknown future versions loudly beats guessing at their layout.
     """
     root = Path(root).expanduser()
     root.mkdir(parents=True, exist_ok=True)
-    detected = detect_backend_name(root)
 
-    if detected == JSON_BACKEND:
-        json_backend = JsonFileBackend(root, kind=kind)
+    if _has_json_layout(root):
         rows = _collect_json_entries(root)
-        metrics = json_backend.load_metrics()
-        sqlite_backend = SqliteBackend(root, kind=kind)
-        entries = sqlite_backend.write_many(rows)
-        if metrics:
+        try:
+            metrics = json.loads((root / _JSON_METRICS_NAME).read_text())
+        except (OSError, ValueError):
+            metrics = {}
+        backend = SqliteBackend(root, kind=kind)
+        entries = backend.write_many(rows)
+        if isinstance(metrics, dict) and metrics:
             # Seed the totals verbatim (record_metrics would add a run).
-            sqlite_backend._retry(
-                lambda: sqlite_backend._write_conn.execute(
+            backend._retry(
+                lambda: backend._write_conn.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES ('metrics', ?)",
                     (json.dumps(metrics, sort_keys=True),),
                 )
             )
-        sqlite_backend.close()
+        backend.close()
         # The SQLite file is durable; now (and only now) drop the JSON
-        # layout so auto-detection can never see both.
+        # layout so no later open can see both.
         for path in root.glob("??/*"):
             path.unlink(missing_ok=True)
         for bucket in root.glob("??"):
@@ -1028,17 +789,16 @@ def migrate_store(root, kind: str = "store") -> MigrationResult:
                 bucket.rmdir()
             except OSError:  # pragma: no cover - non-empty: a racing writer refilled it
                 pass
-        (root / JsonFileBackend.METRICS_NAME).unlink(missing_ok=True)
+        (root / _JSON_METRICS_NAME).unlink(missing_ok=True)
         return MigrationResult(str(root), "json-to-sqlite", entries=entries)
 
-    if detected is None:
-        backend = SqliteBackend(root, kind=kind)
-        backend.close()
+    path = root / SQLITE_FILENAME
+    if not path.exists():
+        SqliteBackend(root, kind=kind).close()
         return MigrationResult(str(root), "initialized")
 
     # SQLite already: inspect the version with a raw connection (the
     # backend class itself refuses to open old versions).
-    path = root / SQLITE_FILENAME
     connection = sqlite3.connect(str(path), timeout=_BUSY_TIMEOUT_SECONDS)
     try:
         try:

@@ -333,9 +333,9 @@ def _certify_fleet(
                 confirm_by_replay,
                 instruction_bounds,
             )
-        # One bulk read instead of a round trip per pipeline: on the
-        # batched backend a warm fleet lookup is a handful of chunked
-        # queries, not len(pipelines) of them.
+        # One bulk read instead of a round trip per pipeline: a warm
+        # fleet lookup is a handful of chunked queries, not
+        # len(pipelines) of them.
         records = verdict_store.load_records(
             [key for key in record_keys if key is not None]
         )
@@ -475,9 +475,9 @@ def _certify_fleet(
             merge_rejected=report.statistics.merge_rejected,
         )
         query_store.record_metrics(metrics)
-    # Deterministic durability point: push every batched write (SQLite
-    # backend) to disk before the report is returned — callers may exit,
-    # fork, or re-open the roots immediately.
+    # Deterministic durability point: push every batched write to disk
+    # before the report is returned — callers may exit, fork, or re-open
+    # the roots immediately.
     for tier in (store, verdict_store, query_store):
         if tier is not None and not isinstance(tier, str):
             tier.flush()

@@ -15,12 +15,11 @@ static-table mode, and the serialization format version.
 
 :class:`Store` is the façade every tier shares: digest-keyed entries, a
 statistics block, corrupt-entry quarantine, garbage collection.  The
-actual bytes live behind a pluggable backend
-(:mod:`repro.orchestrator.backends`) — one-file-per-entry JSON (atomic
-temp+rename writes, safe for any number of concurrent writers) or a
-batched single-file SQLite database (WAL journal, sharded worker writes,
-merge-on-join) — selected per store root and auto-detected from the disk
-layout, so both layouts behave identically through this interface.
+bytes live in one batched SQLite database per store root
+(:class:`repro.orchestrator.backends.SqliteBackend`: WAL journal,
+sharded worker writes, merge-on-join).  A root still holding the retired
+one-file-per-entry JSON layout is refused loudly until ``python -m repro
+store migrate`` converts it.
 
 :class:`SummaryStore` specializes the façade for element summaries,
 :class:`QueryStore` for sliced solver-query verdicts (the query cache's
@@ -42,13 +41,12 @@ from ..obs.trace import clock
 from ..dataplane.fingerprint import configuration_fingerprint, program_fingerprint
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..symbex.segment import ElementSummary
-from .backends import GcResult, make_backend
+from .backends import GcResult, SqliteBackend, _has_json_layout
 from .errors import StoreError
 from .serialize import FORMAT_VERSION, dumps_summary, loads_summary
 
 __all__ = [
     "GcResult",
-    "JsonFileStore",
     "QueryStore",
     "Store",
     "StoreStatistics",
@@ -98,8 +96,7 @@ class StoreStatistics(StatisticsMixin):
     like every other duration in the repo — wall clock appears in the
     store layer only where entry mtimes force it (gc age horizons).
     ``busy_retries`` counts SQLite lock collisions absorbed by the
-    jittered-backoff retry loop (always 0 on the JSON backend, whose
-    atomic renames never contend).
+    jittered-backoff retry loop.
     """
 
     hits: int = 0
@@ -120,45 +117,33 @@ class Store:
     """Shared façade for the content-addressed store tiers.
 
     Subclasses supply the digest computation and the payload
-    encode/decode; raw entry bytes go through ``self.backend``
-    (see :func:`repro.orchestrator.backends.make_backend` for how the
-    implementation is chosen).  ``shard`` opens the SQLite backend in its
-    worker view — reads from the main database, writes to a private
-    ``shards/<shard>.sqlite`` that the parent folds in via
-    :meth:`merge_shards` after the pool joins.  The JSON backend ignores
-    ``shard``: its per-entry writes are already atomic in place.
+    encode/decode; raw entry bytes go through ``self.backend``, a
+    :class:`~repro.orchestrator.backends.SqliteBackend`.  ``shard`` opens
+    it in its worker view — reads from the main database, writes to a
+    private ``shards/<shard>.sqlite`` that the parent folds in via
+    :meth:`merge_shards` after the pool joins.
     """
 
     #: Human label used in error messages ("summary store", "verdict store").
     kind = "store"
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        backend: Optional[str] = None,
-        shard: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], shard: Optional[str] = None) -> None:
         self.root = Path(root).expanduser()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create {self.kind} at {self.root}: {exc}") from exc
+        # Checked before the backend connects: connecting creates the
+        # database, after which migration would strand the JSON entries.
+        if _has_json_layout(self.root):
+            raise StoreError(
+                f"{self.kind} at {self.root} holds the retired JSON file layout; "
+                "run `python -m repro store migrate` to convert it to SQLite"
+            )
         self.statistics = StoreStatistics()
-        self.backend = make_backend(
-            self.root,
-            requested=backend,
-            kind=self.kind,
-            statistics=self.statistics,
-            shard=shard,
+        self.backend = SqliteBackend(
+            self.root, kind=self.kind, statistics=self.statistics, shard=shard
         )
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    def _path(self, digest: str) -> Path:
-        """The JSON-layout path of an entry (meaningless under SQLite)."""
-        return self.root / digest[:2] / f"{digest}.json"
 
     # -- raw entry I/O ---------------------------------------------------------------
 
@@ -180,9 +165,8 @@ class Store:
     def read_entries(self, digests) -> dict:
         """Bulk read: present entries as ``{digest: text}``; absences count as misses.
 
-        One chunked query on the SQLite backend, a plain loop on JSON
-        files — callers holding many digests (delta-mode verdict lookup)
-        should prefer this over N :meth:`read_entry` calls.
+        One chunked query — callers holding many digests (delta-mode
+        verdict lookup) should prefer this over N :meth:`read_entry` calls.
         """
         digests = list(digests)
         started = clock()
@@ -193,7 +177,7 @@ class Store:
         return found
 
     def write_entry(self, digest: str, text: str) -> None:
-        """Persist an entry (atomically, or batched until the next flush)."""
+        """Persist an entry (batched until the next flush)."""
         started = clock()
         self.backend.write(digest, text)
         self.statistics.io_seconds += clock() - started
@@ -201,13 +185,11 @@ class Store:
         self.statistics.bytes_written += len(text)
 
     def quarantine_entry(self, digest: str) -> None:
-        """Move a corrupt entry aside so warm runs stop re-parsing garbage.
+        """Drop a corrupt entry so warm runs stop re-parsing garbage.
 
-        JSON entries are renamed to ``<digest>.json.corrupt`` (preserved
-        for post-mortem; swept by :meth:`gc`); SQLite rows are deleted —
-        the garbage payload sits inside a healthy database, so there is
-        nothing worth keeping aside.  Either way the digest reads as a
-        plain miss — and parses nothing — from now on.
+        The row is deleted — the garbage payload sits inside a healthy
+        database, so there is nothing worth keeping aside.  The digest
+        reads as a plain miss — and parses nothing — from now on.
         """
         self.backend.quarantine(digest)
         self.statistics.corrupt_entries += 1
@@ -216,7 +198,7 @@ class Store:
     # -- lifecycle -------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Push any buffered writes to disk (a no-op on the JSON backend)."""
+        """Push any buffered writes to disk."""
         started = clock()
         self.backend.flush()
         self.statistics.io_seconds += clock() - started
@@ -233,8 +215,7 @@ class Store:
         sequence of shard tags), folds exactly those shards: the
         scheduler's incremental merge path, safe while *other* shards
         still have live writers because each task flushes and closes its
-        private shard before its result is reported.  The JSON backend
-        has no shards and returns 0 either way.
+        private shard before its result is reported.
         """
         started = clock()
         merged = self.backend.merge_shards(only=only)
@@ -251,20 +232,18 @@ class Store:
         return self.backend.size_bytes()
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, buffered ones included; returns the number removed."""
         return self.backend.clear()
 
     def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
         """Sweep the store root.
 
-        Always removes debris — quarantined ``.corrupt`` files and
-        orphaned temp/shard files from crashed writers (only those older
-        than a minute, so in-flight writes are never torn).  With
+        Always removes debris — a quarantined ``.corrupt`` database and
+        orphaned shard files from crashed workers (only those older than
+        a minute, so live shards are never torn).  With
         ``older_than_seconds``, additionally evicts live entries whose
-        modification time is older than the horizon — the store is a
-        cache, so eviction costs recomputation, never correctness.
-        Entries unlinked by a concurrent writer mid-sweep are tolerated
-        (neither kept nor removed).
+        mtime is older than the horizon — the store is a cache, so
+        eviction costs recomputation, never correctness.
         """
         return self.backend.gc(older_than_seconds)
 
@@ -278,16 +257,10 @@ class Store:
         """Fold one run's counters into the store's cumulative totals.
 
         Numeric values key-sum into the stored ones (the totals are
-        cumulative across runs).  The JSON backend writes the sidecar
-        atomically (concurrent recorders lose at worst one increment);
-        the SQLite backend folds inside a transaction and loses none.
+        cumulative across runs).  The fold runs inside one transaction,
+        so concurrent recorders lose no increment.
         """
         return self.backend.record_metrics(counters)
-
-
-#: Backward-compatible alias: the pre-seam name of the base class, kept so
-#: existing imports (and pickled worker payloads from older runs) resolve.
-JsonFileStore = Store
 
 
 class SummaryStore(Store):

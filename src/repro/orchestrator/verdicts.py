@@ -258,11 +258,10 @@ class VerdictStore(Store):
     def load_records(self, digests: Sequence[str]) -> dict:
         """Bulk :meth:`load_record`: ``{digest: certification}`` for every hit.
 
-        One chunked query on the SQLite backend instead of one round trip
-        per pipeline — at fleet scale (1,000+ records) the per-call
-        overhead is the warm run.  Statistics (hits, misses, quarantines)
-        are counted per entry exactly as the one-at-a-time path would, so
-        differential backend comparisons stay exact.
+        One chunked query instead of one round trip per pipeline — at
+        fleet scale (1,000+ records) the per-call overhead is the warm
+        run.  Statistics (hits, misses, quarantines) are counted per entry
+        exactly as the one-at-a-time path would.
         """
         records = {}
         for digest, text in self.read_entries(digests).items():

@@ -21,8 +21,8 @@ cheapest tier that can:
   re-certification answers every solver question the previous run asked
   with zero SAT-core calls.  The store object is duck-typed
   (``load_payload``/``save_payload``); the concrete
-  :class:`repro.orchestrator.store.QueryStore` reuses the shared
-  ``JsonFileStore`` machinery.
+  :class:`repro.orchestrator.store.QueryStore` is one more tier on the
+  shared SQLite :class:`repro.orchestrator.store.Store` façade.
 
 Slices that no tier answers go to the ``solve`` callback the caller
 provides (interval quick check + CDCL), and the result — including a

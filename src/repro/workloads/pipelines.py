@@ -233,8 +233,8 @@ def store_scale_catalog(count: int = 1000, name_prefix: str = "scale") -> List[P
     (wiring order is fingerprinted), so the catalog yields ``count``
     verdict-store entries while Step 1 summarizes only the six pool
     configurations.  Enumeration is deterministic (mixed-radix over the
-    pool, shortest chains first), so two runs — or two store backends —
-    certify byte-identical catalogs.
+    pool, shortest chains first), so two runs certify byte-identical
+    catalogs.
     """
     pool = [(branches, offset) for branches in (1, 2, 3) for offset in (0, 4)]
     pipelines: List[Pipeline] = []

@@ -1,11 +1,14 @@
 """Tests for the fleet orchestrator: serialization, store, workers, fleet API."""
 
 import json
+import sqlite3
+import time
 
 import pytest
 
 from repro import smt
 from repro.orchestrator import (
+    SQLITE_FILENAME,
     SummaryStore,
     certify_fleet,
     decode_terms,
@@ -36,6 +39,29 @@ def _summarize(element, length=24, **options):
         element_name=element.name,
         configuration_key=element.configuration_key(),
     )
+
+
+def _set_row(store, digest, payload=None, mtime=None):
+    """Rewrite one stored row behind the store's back (disk corruption, aging)."""
+    store.flush()
+    connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+    if payload is not None:
+        connection.execute(
+            "INSERT OR REPLACE INTO entries (digest, payload, mtime) VALUES (?, ?, ?)",
+            (digest, payload, time.time()),
+        )
+    if mtime is not None:
+        connection.execute("UPDATE entries SET mtime=? WHERE digest=?", (mtime, digest))
+    connection.commit()
+    connection.close()
+
+
+def _row_exists(store, digest):
+    store.flush()
+    connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+    row = connection.execute("SELECT 1 FROM entries WHERE digest=?", (digest,)).fetchone()
+    connection.close()
+    return row is not None
 
 
 class TestTermSerialization:
@@ -146,29 +172,27 @@ class TestSummaryStore:
         store = SummaryStore(tmp_path)
         assert store.load(element, 24, CONCRETE) is None
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        path = store._path(digest)
-        path.write_text("{not json")
+        _set_row(store, digest, payload="{not json")
         assert store.load(element, 24, CONCRETE) is None
         assert store.statistics.corrupt_entries == 1
         # Version-mismatched payloads are also treated as misses.
-        path.write_text(json.dumps({"version": 999}))
+        _set_row(store, digest, payload=json.dumps({"version": 999}))
         assert store.load(element, 24, CONCRETE) is None
+        assert store.statistics.corrupt_entries == 2
 
     def test_corrupt_entries_are_quarantined_not_reparsed(self, tmp_path):
-        # The satellite fix: a corrupt entry used to stay in place, so
-        # every warm run re-read and re-parsed the same garbage.  Now the
-        # first detection moves it aside; later loads are plain misses.
+        # A corrupt entry that stayed in place would be re-read and
+        # re-parsed by every warm run.  The first detection deletes the
+        # row; later loads are plain misses.
         element = ip_router_elements(1)[0]
         store = SummaryStore(tmp_path)
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        path = store._path(digest)
-        path.write_text("{not json")
+        _set_row(store, digest, payload="{not json")
 
         assert store.load(element, 24, CONCRETE) is None
         assert store.statistics.corrupt_entries == 1
         assert store.statistics.quarantined == 1
-        assert not path.exists()  # moved aside: the garbage is gone
-        assert path.with_name(path.name + ".corrupt").exists()  # kept for post-mortem
+        assert not _row_exists(store, digest)  # the garbage is gone
         assert len(store) == 0  # quarantined entries are not live entries
 
         # The second load never touches the garbage again: a plain miss,
@@ -177,29 +201,28 @@ class TestSummaryStore:
         assert store.statistics.corrupt_entries == 1
         assert store.statistics.misses == 2
 
-        # Recomputing overwrites the digest; gc sweeps the quarantine file.
+        # Recomputing rewrites the digest; a deleted row leaves no debris.
         store.save(element, 24, CONCRETE, _summarize(element))
         assert store.load(element, 24, CONCRETE) is not None
         result = store.gc()
-        assert result.removed_debris == 1 and result.kept_entries == 1
-        assert not path.with_name(path.name + ".corrupt").exists()
+        assert result.removed_debris == 0 and result.kept_entries == 1
+        assert _row_exists(store, digest)
 
     def test_gc_evicts_old_entries(self, tmp_path):
-        import os
-        import time
-
         element = ip_router_elements(1)[0]
         store = SummaryStore(tmp_path)
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        old = time.time() - 3600
-        os.utime(store._path(digest), (old, old))
-        kept = store.gc(older_than_seconds=7200)
+        # Older than the backend's one-hour read-touch granularity, so the
+        # hit below really refreshes the mtime.
+        old = time.time() - 2 * 3600
+        _set_row(store, digest, mtime=old)
+        kept = store.gc(older_than_seconds=3 * 3600)
         assert kept.removed_entries == 0 and kept.kept_entries == 1
         # A hit refreshes the mtime: entries that are *read* stay warm, so
         # "older than" means "not touched", not "not rewritten".
         assert store.load(element, 24, CONCRETE) is not None
         assert store.gc(older_than_seconds=1800).removed_entries == 0
-        os.utime(store._path(digest), (old, old))
+        _set_row(store, digest, mtime=old)
         swept = store.gc(older_than_seconds=60)
         assert swept.removed_entries == 1 and swept.bytes_freed > 0
         assert len(store) == 0

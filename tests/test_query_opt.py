@@ -189,12 +189,14 @@ class TestQueryStoreL3:
     def test_warm_cache_answers_from_disk_without_solving(self, tmp_path):
         from repro.orchestrator.store import QueryStore
 
-        cold_cache = QueryCache(store=QueryStore(tmp_path))
+        cold_store = QueryStore(tmp_path)
+        cold_cache = QueryCache(store=cold_store)
         (status, model), (unsat_status, _) = self._queries(
             AssumptionChecker(query_cache=cold_cache)
         )
         assert status == CheckResult.SAT and unsat_status == CheckResult.UNSAT
         assert cold_cache.statistics.l3_stores > 0
+        cold_store.close()  # batched writes reach disk on flush/close
 
         warm_store = QueryStore(tmp_path)
         warm_cache = QueryCache(store=warm_store)
@@ -229,19 +231,28 @@ class TestQueryStoreL3:
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         from repro.orchestrator.store import QueryStore
 
+        import sqlite3
+
+        from repro.orchestrator import SQLITE_FILENAME
+
         store = QueryStore(tmp_path)
         cache = QueryCache(store=store)
         checker = AssumptionChecker(query_cache=cache)
         x = BitVec("x", 8)
         checker.check([Eq(smt.UDiv(x, BitVecVal(3, 8)), BitVecVal(5, 8))])
-        for path in tmp_path.glob("??/*.json"):
-            path.write_text("{ not json")
-        warm = QueryCache(store=QueryStore(tmp_path))
+        store.close()
+        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
+        assert connection.execute("UPDATE entries SET payload='{ not json'").rowcount > 0
+        connection.commit()
+        connection.close()
+        warm_store = QueryStore(tmp_path)
+        warm = QueryCache(store=warm_store)
         status, _ = AssumptionChecker(query_cache=warm).check(
             [Eq(smt.UDiv(x, BitVecVal(3, 8)), BitVecVal(5, 8))]
         )
         assert status == CheckResult.SAT  # re-solved, not crashed
         assert warm.statistics.l3_hits == 0
+        assert warm_store.statistics.corrupt_entries > 0  # the garbage was read
 
 
 class TestSolverContextRouting:

@@ -1,12 +1,15 @@
 """Unit and property-based tests for the SAT backend and the Solver facade."""
 
+import json
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import smt
+from repro.orchestrator import SQLITE_FILENAME, QueryStore
 from repro.smt import (
     And,
     BitVec,
@@ -30,6 +33,7 @@ from repro.smt import SLE, SLT
 from repro.smt.cnf import CNFBuilder
 from repro.smt.errors import SolverError
 from repro.smt.interval import QuickCheckResult, quick_check
+from repro.smt.qcache import QueryCache
 from repro.smt.sat import SATSolver, SatResult, luby, solve_clauses
 
 
@@ -303,7 +307,7 @@ class TestQuickCheck:
         excluded = quick_check(And(Not(Eq(b, BitVecVal(0, 1))), Not(Eq(b, BitVecVal(1, 1)))))
         assert excluded.status == QuickCheckResult.UNSAT
 
-    def test_subjects_differing_below_depth_64_get_separate_intervals(self):
+    def test_subjects_differing_below_depth_64_get_separate_intervals(self, tmp_path):
         # x^k0^...^k69 and y^k0^...^k69 differ only at their deepest leaf, 70
         # levels down.  Keyed by a depth-bounded rendering they would share
         # one interval, [0, 4] ∩ [10, 255], and be refuted although
@@ -323,6 +327,24 @@ class TestQuickCheck:
         context.assert_term(formula)
         assert context.check_assumptions() == CheckResult.SAT
         assert evaluate(formula, context.model().as_dict()) is True
+
+        # The default product path: sliced, cached, persisted to L3.
+        store = QueryStore(tmp_path)
+        cached = SolverContext(query_cache=QueryCache(store=store))
+        cached.assert_term(formula)
+        assert cached.check_assumptions() == CheckResult.SAT
+        assert evaluate(formula, cached.model().as_dict()) is True
+        # One more satisfiable conjunct: still SAT, so no unsat-core entry
+        # (which would have to be unsound) answered the stronger query.
+        extra = ULT(y, 200)
+        cached.assert_term(extra)
+        assert cached.check_assumptions() == CheckResult.SAT
+        assert evaluate(And(formula, extra), cached.model().as_dict()) is True
+        store.flush()
+        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
+        payloads = [json.loads(row[0]) for row in connection.execute("SELECT payload FROM entries")]
+        connection.close()
+        assert payloads and all(payload["status"] == "sat" for payload in payloads)
 
 
 @st.composite

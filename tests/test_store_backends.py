@@ -1,17 +1,21 @@
-"""Tests for the pluggable store-backend seam: JSON files vs batched SQLite.
+"""Tests for the SQLite store backend behind every tier.
 
-Every tier (summary, verdict, query) must behave identically through the
-:class:`repro.orchestrator.store.Store` façade no matter which backend
-holds the bytes; these tests parametrize the round trips over both
-backends, exercise the SQLite-only machinery (schema versioning, whole-
-database quarantine, worker shards, write batching) and the explicit
-migrations (JSON layout -> SQLite, schema v1 -> v2).
+Round trips through the :class:`repro.orchestrator.store.Store` façade
+for each tier (summary, verdict, query), the backend machinery (schema
+versioning, whole-database quarantine, worker shards, write batching),
+the loud refusal of the retired JSON file layout, and the explicit
+migrations (JSON layout -> SQLite, schema v1 -> v2).  The committed
+``fixtures/json_store`` tree is a real JSON-layout store written by the
+last release that could write one (``certify --catalog fleet:2
+--lengths 24`` into summary, verdict and query tiers).
 """
 
 import json
 import os
+import shutil
 import sqlite3
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +26,8 @@ from repro.orchestrator import (
     QueryStore,
     SummaryStore,
     VerdictStore,
+    RiskStore,
     certify_fleet,
-    detect_backend_name,
     migrate_store,
 )
 from repro.orchestrator.errors import StoreError
@@ -32,8 +36,14 @@ from repro.symbex.engine import SymbolicEngine
 from repro.verify import CrashFreedom
 from repro.workloads import fleet_catalog, ip_router_elements
 
-BACKENDS = ("json", "sqlite")
 CONCRETE = SymbexOptions(static_table_mode="concrete")
+JSON_FIXTURE = Path(__file__).parent / "fixtures" / "json_store"
+#: (tier directory in the fixture, store class opening it).
+FIXTURE_TIERS = (
+    ("summaries", SummaryStore),
+    ("verdicts", VerdictStore),
+    ("queries", QueryStore),
+)
 
 
 def _summarize(element, length=24):
@@ -51,28 +61,41 @@ def _digest(index):
     return f"{index:064x}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestRoundTrip:
-    """The same tier contents must survive a close/reopen on either backend."""
+def _copy_fixture(tmp_path):
+    """A private copy of the committed JSON-layout store (tests mutate it)."""
+    root = tmp_path / "json_store"
+    shutil.copytree(JSON_FIXTURE, root)
+    return root
 
-    def test_summary_tier(self, backend, tmp_path):
+
+def _write_json_layout(root, entries, metrics=None):
+    """Hand-write the retired layout: ``<root>/<digest[:2]>/<digest>.json``."""
+    for digest, payload in entries.items():
+        path = root / digest[:2] / f"{digest}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload))
+    if metrics is not None:
+        (root / "metrics.json").write_text(json.dumps(metrics))
+
+
+class TestRoundTrip:
+    """Tier contents must survive a close/reopen."""
+
+    def test_summary_tier(self, tmp_path):
         element = ip_router_elements(1)[0]
-        store = SummaryStore(tmp_path, backend=backend)
-        assert store.backend_name == backend
+        store = SummaryStore(tmp_path)
         store.save(element, 24, CONCRETE, _summarize(element))
         store.close()
-        # Reopen with auto-detection: the layout on disk decides.
         reopened = SummaryStore(tmp_path)
-        assert reopened.backend_name == backend
         loaded = reopened.load(element, 24, CONCRETE)
         assert loaded is not None and reopened.statistics.hits == 1
         assert len(reopened) == 1
 
-    def test_verdict_tier_serves_delta_mode(self, backend, tmp_path):
+    def test_verdict_tier_serves_delta_mode(self, tmp_path):
         catalog = fleet_catalog(3)
         cold = certify_fleet(
             catalog, [CrashFreedom()], input_lengths=(24,),
-            verdict_store=VerdictStore(tmp_path, backend=backend),
+            verdict_store=VerdictStore(tmp_path),
         )
         warm = certify_fleet(
             fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
@@ -82,9 +105,9 @@ class TestRoundTrip:
         assert warm.statistics.summaries_computed == 0
         assert warm.verdicts() == cold.verdicts()
 
-    def test_query_tier(self, backend, tmp_path):
+    def test_query_tier(self, tmp_path):
         payload = {"verdict": "unsat", "core": [1, 2, 3]}
-        store = QueryStore(tmp_path, backend=backend)
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), payload)
         store.flush()
         assert store.contains(_digest(1)) and not store.contains(_digest(2))
@@ -94,8 +117,8 @@ class TestRoundTrip:
         assert reopened.load_payload(_digest(2)) is None
         assert reopened.statistics.hits == 1 and reopened.statistics.misses == 1
 
-    def test_read_entries_bulk(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_read_entries_bulk(self, tmp_path):
+        store = QueryStore(tmp_path)
         for index in range(5):
             store.write_entry(_digest(index), f"payload-{index}")
         store.flush()
@@ -104,13 +127,13 @@ class TestRoundTrip:
         assert found == {_digest(index): f"payload-{index}" for index in range(5)}
         assert store.statistics.misses == 2
 
-    def test_read_entries_sees_unflushed_writes(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_read_entries_sees_unflushed_writes(self, tmp_path):
+        store = QueryStore(tmp_path)
         store.write_entry(_digest(1), "buffered")
         assert store.read_entries([_digest(1)]) == {_digest(1): "buffered"}
 
-    def test_metrics_accumulate_across_reopen(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_metrics_accumulate_across_reopen(self, tmp_path):
+        store = QueryStore(tmp_path)
         store.record_metrics({"hits": 3, "label": "ignored-not-numeric"})
         store.close()
         reopened = QueryStore(tmp_path)
@@ -118,8 +141,8 @@ class TestRoundTrip:
         assert totals["hits"] == 7 and totals["runs"] == 2
         assert reopened.load_metrics() == totals
 
-    def test_clear_and_size(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_clear_and_size(self, tmp_path):
+        store = QueryStore(tmp_path)
         for index in range(3):
             store.write_entry(_digest(index), "x" * 10)
         store.flush()
@@ -128,11 +151,11 @@ class TestRoundTrip:
 
 
 class TestSqliteCorruption:
-    """SQLite parity for the torn-write / quarantine behaviour of JSON tiers."""
+    """Torn, foreign and outdated databases: quarantine or refuse, never misread."""
 
     def test_truncated_database_is_quarantined(self, tmp_path):
         (tmp_path / SQLITE_FILENAME).write_bytes(b"SQLite format 3\x00 torn mid-write")
-        store = SummaryStore(tmp_path, backend="sqlite")
+        store = SummaryStore(tmp_path)
         # The garbage moved aside (kept for post-mortem), the store works.
         assert (tmp_path / (SQLITE_FILENAME + ".corrupt")).exists()
         assert store.statistics.corrupt_entries == 1
@@ -146,7 +169,7 @@ class TestSqliteCorruption:
 
     def test_random_garbage_is_quarantined(self, tmp_path):
         (tmp_path / SQLITE_FILENAME).write_bytes(b"\x00\x01 not a database \xff")
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         assert store.statistics.quarantined == 1
         assert store.load_payload(_digest(1)) is None  # plain empty store
 
@@ -155,12 +178,12 @@ class TestSqliteCorruption:
         connection.execute("CREATE TABLE unrelated (x INTEGER)")
         connection.commit()
         connection.close()
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         assert store.statistics.quarantined == 1
         assert (tmp_path / (SQLITE_FILENAME + ".corrupt")).exists()
 
     def test_future_schema_version_refuses_loudly(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.close()
         connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
         connection.execute(
@@ -208,7 +231,7 @@ class TestSqliteCorruption:
         assert len(store) == 1
 
     def test_garbage_row_is_quarantined_not_reparsed(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"fine": True})
         store.close()
         connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
@@ -230,12 +253,11 @@ class TestSqliteCorruption:
 
 class TestShards:
     def test_shard_view_reads_main_writes_private(self, tmp_path):
-        main = QueryStore(tmp_path, backend="sqlite")
+        main = QueryStore(tmp_path)
         main.save_payload(_digest(1), {"from": "main"})
         main.flush()
 
         shard = QueryStore(tmp_path, shard="w1")
-        assert shard.backend_name == "sqlite"
         assert shard.load_payload(_digest(1)) == {"from": "main"}  # reads hit main
         shard.save_payload(_digest(2), {"from": "shard"})
         shard.close()
@@ -248,13 +270,13 @@ class TestShards:
         assert not (tmp_path / "shards" / "w1.sqlite").exists()
 
     def test_merge_refuses_on_shard_view(self, tmp_path):
-        QueryStore(tmp_path, backend="sqlite").close()
+        QueryStore(tmp_path).close()
         shard = QueryStore(tmp_path, shard="w1")
         with pytest.raises(StoreError, match="main store"):
             shard.merge_shards()
 
     def test_merge_tolerates_torn_shard(self, tmp_path):
-        main = QueryStore(tmp_path, backend="sqlite")
+        main = QueryStore(tmp_path)
         shard = QueryStore(tmp_path, shard="w1")
         shard.save_payload(_digest(1), {"ok": True})
         shard.close()
@@ -266,24 +288,17 @@ class TestShards:
         os.utime(tmp_path / "shards" / "w2.sqlite", (old, old))
         assert main.gc().removed_debris == 1
 
-    def test_json_backend_has_no_shards(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json", shard="w1")
-        store.save_payload(_digest(1), {"ok": True})
-        # Atomic in-place writes: immediately visible, nothing to merge.
-        assert QueryStore(tmp_path).load_payload(_digest(1)) == {"ok": True}
-        assert store.merge_shards() == 0
-
 
 class TestBatching:
     def test_read_your_write_before_flush(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"buffered": True})
         assert store.backend._pending  # still buffered ...
         assert store.load_payload(_digest(1)) == {"buffered": True}  # ... yet readable
         assert store.contains(_digest(1))
 
     def test_autoflush_at_batch_size(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.backend.batch_size = 2
         store.write_entry(_digest(1), "one")
         assert store.backend._pending
@@ -294,55 +309,71 @@ class TestBatching:
         connection.close()
 
     def test_close_flushes(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"durable": True})
         store.close()
         assert QueryStore(tmp_path).load_payload(_digest(1)) == {"durable": True}
 
 
-class TestSelection:
-    def test_fresh_root_detects_nothing(self, tmp_path):
-        assert detect_backend_name(tmp_path) is None
+class TestLegacyJsonLayout:
+    """A JSON-layout root is refused loudly, never silently reinitialized."""
 
-    def test_layouts_detected(self, tmp_path):
-        json_root, sqlite_root = tmp_path / "j", tmp_path / "s"
-        QueryStore(json_root, backend="json").save_payload(_digest(1), {})
-        QueryStore(sqlite_root, backend="sqlite").close()
-        assert detect_backend_name(json_root) == "json"
-        assert detect_backend_name(sqlite_root) == "sqlite"
+    def test_every_tier_refuses_and_creates_no_database(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        for tier, store_class in FIXTURE_TIERS:
+            entries_before = sorted(p.name for p in (root / tier).glob("??/*.json"))
+            assert entries_before
+            with pytest.raises(StoreError, match="python -m repro store migrate"):
+                store_class(root / tier)
+            # Refused before connecting: a created database would make
+            # migration see an SQLite root and strand the JSON entries.
+            assert not (root / tier / SQLITE_FILENAME).exists()
+            assert sorted(p.name for p in (root / tier).glob("??/*.json")) == entries_before
 
-    def test_requesting_conflicting_backend_raises(self, tmp_path):
-        QueryStore(tmp_path, backend="json").save_payload(_digest(1), {})
+    def test_risk_tier_and_shard_views_refuse_too(self, tmp_path):
+        root = _copy_fixture(tmp_path) / "queries"
         with pytest.raises(StoreError, match="store migrate"):
-            QueryStore(tmp_path, backend="sqlite")
+            RiskStore(root)
+        with pytest.raises(StoreError, match="store migrate"):
+            QueryStore(root, shard="w1")
+        assert not (root / SQLITE_FILENAME).exists()
+        assert not (root / "shards").exists()
 
-    def test_env_default_for_fresh_roots(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert QueryStore(tmp_path / "fresh").backend_name == "sqlite"
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "postgres")
-        with pytest.raises(StoreError, match="REPRO_STORE_BACKEND"):
-            QueryStore(tmp_path / "other")
+    def test_metrics_sidecar_alone_is_a_json_layout(self, tmp_path):
+        _write_json_layout(tmp_path, {}, metrics={"runs": 1})
+        with pytest.raises(StoreError, match="store migrate"):
+            QueryStore(tmp_path)
+        assert not (tmp_path / SQLITE_FILENAME).exists()
 
-    def test_existing_layout_beats_env_default(self, tmp_path, monkeypatch):
-        QueryStore(tmp_path, backend="json").save_payload(_digest(1), {"keep": 1})
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        store = QueryStore(tmp_path)  # auto-detect wins over the env default
-        assert store.backend_name == "json"
-        assert store.load_payload(_digest(1)) == {"keep": 1}
+    def test_migrated_fixture_recertifies_without_work(self, tmp_path):
+        root = _copy_fixture(tmp_path)
+        for tier, store_class in FIXTURE_TIERS:
+            result = migrate_store(root / tier, kind=store_class.kind)
+            assert result.action == "json-to-sqlite" and result.entries > 0
+        catalog = fleet_catalog(2)
+        report = certify_fleet(
+            catalog, [CrashFreedom()], input_lengths=(24,),
+            store=SummaryStore(root / "summaries"),
+            verdict_store=VerdictStore(root / "verdicts"),
+            query_store=QueryStore(root / "queries"),
+        )
+        assert report.statistics.verdicts_reused == len(catalog)
+        assert report.statistics.summaries_computed == 0
+        assert [verdict for _, _, verdict in report.verdicts()] == ["proved", "proved"]
 
 
 class TestMigration:
     def test_json_to_sqlite_preserves_entries_metrics_and_mtimes(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json")
-        store.save_payload(_digest(1), {"stale": True})
-        store.save_payload(_digest(2), {"fresh": True})
-        totals = store.record_metrics({"hits": 5})
+        totals = {"hits": 5, "runs": 1}
+        _write_json_layout(
+            tmp_path, {_digest(1): {"stale": True}, _digest(2): {"fresh": True}}, totals
+        )
         old = time.time() - 10 * 24 * 3600
-        os.utime(store._path(_digest(1)), (old, old))
+        os.utime(tmp_path / "00" / f"{_digest(1)}.json", (old, old))
 
         result = migrate_store(tmp_path)
         assert result.action == "json-to-sqlite" and result.entries == 2
-        assert detect_backend_name(tmp_path) == "sqlite"
+        assert (tmp_path / SQLITE_FILENAME).exists()
         assert not list(tmp_path.glob("??/*.json"))  # JSON layout fully retired
         assert not (tmp_path / "metrics.json").exists()
 
@@ -356,82 +387,41 @@ class TestMigration:
         assert migrated.load_payload(_digest(1)) is None
 
     def test_migrate_is_idempotent(self, tmp_path):
-        QueryStore(tmp_path, backend="sqlite").save_payload(_digest(1), {})
+        QueryStore(tmp_path).save_payload(_digest(1), {})
         first = migrate_store(tmp_path)
         assert first.action == "up-to-date" and first.entries == 1
 
     def test_migrate_fresh_root_initializes(self, tmp_path):
         result = migrate_store(tmp_path / "new")
         assert result.action == "initialized"
-        assert detect_backend_name(tmp_path / "new") == "sqlite"
+        assert (tmp_path / "new" / SQLITE_FILENAME).exists()
 
     def test_cli_migration_smoke(self, tmp_path, capsys):
-        """The CI migration smoke, in-process: JSON certify -> migrate -> delta."""
-        summary_root = str(tmp_path / "summaries")
-        verdict_root = str(tmp_path / "verdicts")
-        catalog = fleet_catalog(3)
-        certify_fleet(
-            catalog, [CrashFreedom()], input_lengths=(24,),
-            store=SummaryStore(summary_root, backend="json"),
-            verdict_store=VerdictStore(verdict_root, backend="json"),
-        )
-        code = cli_main(
-            ["store", "migrate", "--store", summary_root, "--verdict-store", verdict_root]
-        )
-        assert code == EXIT_OK
+        """The CI migration smoke, in-process: JSON fixture -> migrate -> delta."""
+        root = _copy_fixture(tmp_path)
+        tier_flags = [
+            "--store", str(root / "summaries"),
+            "--verdict-store", str(root / "verdicts"),
+            "--query-store", str(root / "queries"),
+        ]
+        assert cli_main(["store", "migrate", *tier_flags]) == EXIT_OK
         out = capsys.readouterr().out
         assert "migrated" in out and "SQLite" in out
-        assert detect_backend_name(tmp_path / "summaries") == "sqlite"
-        assert detect_backend_name(tmp_path / "verdicts") == "sqlite"
-        delta = certify_fleet(
-            fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
-            store=SummaryStore(summary_root),
-            verdict_store=VerdictStore(verdict_root),
+        for tier, _ in FIXTURE_TIERS:
+            assert (root / tier / SQLITE_FILENAME).exists()
+            assert not list((root / tier).glob("??/*.json"))
+        code = cli_main(
+            ["certify", "--catalog", "fleet:2", "--lengths", "24", "--json", *tier_flags]
         )
-        assert delta.statistics.verdicts_reused == len(catalog)
-        assert delta.statistics.summaries_computed == 0
-
-
-class TestDifferential:
-    def test_certify_fleet_identical_across_backends(self, tmp_path):
-        runs = {}
-        for backend in BACKENDS:
-            root = tmp_path / backend
-            stores = (
-                SummaryStore(root / "summaries", backend=backend),
-                VerdictStore(root / "verdicts", backend=backend),
-                QueryStore(root / "queries", backend=backend),
-            )
-            report = certify_fleet(
-                fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
-                store=stores[0], verdict_store=stores[1], query_store=stores[2],
-            )
-            runs[backend] = (
-                report.verdicts(),
-                [
-                    (s.statistics.hits, s.statistics.misses, s.statistics.puts)
-                    for s in stores
-                ],
-            )
-        assert runs["json"] == runs["sqlite"]
+        assert code == EXIT_OK
+        statistics = json.loads(capsys.readouterr().out)["statistics"]
+        assert statistics["verdicts_reused"] == 2
+        assert statistics["summaries_computed"] == 0
 
 
 class TestGcRaces:
-    def test_json_gc_tolerates_vanished_entries(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json")
-        store.save_payload(_digest(1), {"ok": True})
-        # A dangling symlink stats like an entry that a concurrent writer
-        # unlinked between the directory listing and the stat call.
-        bucket = tmp_path / "ab"
-        bucket.mkdir()
-        ghost = bucket / (_digest(2) + ".json")
-        ghost.symlink_to(tmp_path / "never-existed")
-        result = store.gc(older_than_seconds=3600)
-        assert result.kept_entries == 1  # vanished: neither kept nor removed
-        assert store.size_bytes() > 0  # stat races tolerated here too
-
     def test_sqlite_gc_age_horizon(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"old": True})
         store.save_payload(_digest(2), {"new": True})
         store.flush()
