@@ -12,7 +12,12 @@ claims the layer is built on:
   **zero SAT-core calls**: every solver question is answered from the
   persistent tier, the solver-level analogue of the zero-symbex warm
   path;
-* **verdict stability** — all three runs certify the same pipelines.
+* **verdict stability** — all three runs certify the same pipelines;
+* **the layer pays for itself in wall time** — with no stores attached,
+  the ``query_opt=False`` run takes at least as long as the default
+  (``wall_ratio_off_over_on`` >= 1.0, each side the minimum of
+  :data:`WALL_RUNS` interleaved runs in this process, so the ratio does
+  not depend on the host's speed).
 
 The counters are deterministic for the fixed catalog (serial runs, no
 randomness in the solver), so the baseline pins them tightly.  Set
@@ -22,6 +27,7 @@ property — the quick numbers are the pinned ones).
 
 import os
 import tempfile
+import time
 
 from repro.orchestrator import QueryStore, SummaryStore, certify_fleet
 from repro.symbex.engine import SymbexOptions
@@ -33,6 +39,8 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 #: The tentpole claim is stated for the 8-pipeline fleet catalog.
 CATALOG_SIZE = 8
 INPUT_LENGTHS = (24,)
+#: Interleaved timing runs per side for the wall-time ratio.
+WALL_RUNS = 3
 
 
 def _properties():
@@ -71,10 +79,29 @@ def run_query_cache_comparison():
     return disabled, optimized, warm
 
 
+def _wall_seconds(options):
+    started = time.perf_counter()
+    certify_fleet(
+        fleet_catalog(CATALOG_SIZE), _properties(), input_lengths=INPUT_LENGTHS, options=options
+    )
+    return time.perf_counter() - started
+
+
+def measure_wall_ratio():
+    """``query_opt=False`` wall time over the default's, minimum of interleaved runs."""
+    off, on = [], []
+    for _ in range(WALL_RUNS):
+        off.append(_wall_seconds(SymbexOptions(query_opt=False)))
+        on.append(_wall_seconds(SymbexOptions()))
+    return min(off), min(on)
+
+
 def test_query_cache(benchmark, bench_json):
     disabled, optimized, warm = benchmark.pedantic(
         run_query_cache_comparison, rounds=1, iterations=1
     )
+    wall_off, wall_on = measure_wall_ratio()
+    wall_ratio = wall_off / wall_on
 
     reduction = disabled.statistics.sat_core_calls / max(
         optimized.statistics.sat_core_calls, 1
@@ -88,6 +115,8 @@ def test_query_cache(benchmark, bench_json):
         print(f"{label:>16} | {stats.sat_core_calls:>14} | "
               f"{stats.qcache_hits:>11} | {stats.elapsed_seconds:>8.2f}")
     print(f"{'reduction':>16} | {reduction:>13.2f}x")
+    print(f"wall time, min of {WALL_RUNS}: off {wall_off:.3f}s, on {wall_on:.3f}s, "
+          f"off/on {wall_ratio:.2f}x")
 
     bench_json(
         "query_cache",
@@ -106,6 +135,9 @@ def test_query_cache(benchmark, bench_json):
             "disabled_seconds": disabled.statistics.elapsed_seconds,
             "optimized_seconds": optimized.statistics.elapsed_seconds,
             "warm_seconds": warm.statistics.elapsed_seconds,
+            "wall_off_seconds": wall_off,
+            "wall_on_seconds": wall_on,
+            "wall_ratio_off_over_on": wall_ratio,
         },
     )
 
@@ -124,3 +156,9 @@ def test_query_cache(benchmark, bench_json):
     # the summary store's 0-symbex warm path one layer down.
     assert warm.statistics.summaries_computed == 0
     assert warm.statistics.sat_core_calls == 0
+
+    # The layer must not cost more wall time than it saves.
+    assert wall_ratio >= 1.0, (
+        f"query optimization is slower than query_opt=False: "
+        f"{wall_on:.3f}s vs {wall_off:.3f}s"
+    )

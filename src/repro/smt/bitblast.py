@@ -235,6 +235,10 @@ class BitBlaster:
         width = len(a)
         accumulator = [cnf.FALSE] * width
         for shift in range(width):
+            if a[shift] == cnf.FALSE:
+                # An all-FALSE row: adding it would only constant-fold
+                # (no variable, no clause).  Half of _divide's rows.
+                continue
             partial = [cnf.FALSE] * shift
             partial += [cnf.lit_and(a[shift], b[i]) for i in range(width - shift)]
             accumulator = self._add(accumulator, partial)

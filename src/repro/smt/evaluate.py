@@ -1,13 +1,23 @@
 """Concrete evaluation of SMT terms under a variable assignment.
 
-Used for three purposes: validating models returned by the SAT backend,
-constant folding in the simplifier, and replaying counterexample packets
-produced by the verifier on the concrete dataplane.
+Used for four purposes: validating models returned by the SAT backend,
+constant folding in the simplifier, the query cache's model-reuse tier
+(does a known model happen to satisfy a new slice?), and replaying
+counterexample packets produced by the verifier on the concrete
+dataplane.
+
+The walk is an iterative post-order over the term DAG keyed by
+``term.uid``, so term depth is bounded by memory, not by Python's
+recursion limit, and every shared subterm is evaluated once.  A caller
+that evaluates many terms under one fixed assignment may pass its own
+``memo``: the values it holds stay valid for as long as the assignment
+does, because uids are never reused and a term never changes after it
+is built.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import EvaluationError
 from .terms import Op, Term
@@ -24,25 +34,76 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def evaluate(term: Term, env: Mapping[str, Value] | None = None) -> Value:
+class FilledAssignment(Mapping[str, Value]):
+    """A total assignment: names missing from ``assignment`` read as ``fill``.
+
+    ``fill=0`` makes every unbound variable 0 / false (the default
+    :class:`repro.smt.model.Model` applies); ``fill=-1`` makes every
+    unbound bitvector all ones and every unbound boolean true, since
+    variable values are masked to their width and booleans are read
+    with ``bool``.
+    """
+
+    __slots__ = ("_assignment", "_fill")
+
+    def __init__(self, assignment: Mapping[str, Value], fill: Value) -> None:
+        self._assignment = assignment
+        self._fill = fill
+
+    def __getitem__(self, name: str) -> Value:
+        return self._assignment.get(name, self._fill)
+
+    def __contains__(self, name: object) -> bool:
+        return True
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._assignment)
+
+    def __len__(self) -> int:
+        return len(self._assignment)
+
+
+def evaluate(
+    term: Term,
+    env: Mapping[str, Value] | None = None,
+    memo: Optional[Dict[int, Value]] = None,
+) -> Value:
     """Evaluate ``term`` under ``env`` (a mapping from variable name to value).
 
-    Raises :class:`EvaluationError` if a free variable is unbound.
+    Raises :class:`EvaluationError` if a free variable is unbound (wrap
+    the assignment in :class:`FilledAssignment` to default it instead).
     Bitvector results are returned as non-negative ints reduced modulo the
     term's width; boolean results as ``bool``.
+
+    ``memo`` maps term uids to values already computed under this same
+    ``env``; it is read and extended in place.  Without one, a fresh
+    memo lives for this call only.
     """
-    env = env or {}
-    cache: dict[int, Value] = {}
+    if memo is None:
+        memo = {}
+    else:
+        cached = memo.get(term.uid)
+        if cached is not None:
+            return cached
+    if env is None:
+        env = {}
 
-    def walk(node: Term) -> Value:
-        cached = cache.get(id(node))
-        if cached is not None or id(node) in cache:
-            return cache[id(node)]
-        result = _eval_node(node, env, walk)
-        cache[id(node)] = result
-        return result
+    def lookup(node: Term) -> Value:
+        return memo[node.uid]
 
-    return walk(term)
+    stack: List[Tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.uid in memo:
+            continue
+        if expanded or not node.args:
+            memo[node.uid] = _eval_node(node, env, lookup)
+        else:
+            stack.append((node, True))
+            for arg in node.args:
+                if arg.uid not in memo:
+                    stack.append((arg, False))
+    return memo[term.uid]
 
 
 def _eval_node(node: Term, env: Mapping[str, Value], walk) -> Value:

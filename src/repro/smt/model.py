@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator, Mapping, Optional
 
-from .evaluate import Value, evaluate
+from .evaluate import FilledAssignment, Value, evaluate
 from .terms import Term
 
 
@@ -13,7 +13,13 @@ class Model:
 
     Variables that do not appear in the assignment are treated as zero /
     false when evaluating terms: the solver only records variables that
-    were relevant to the query, and any value works for the others.
+    were relevant to the query, and any value works for the others.  The
+    default is applied inside the evaluator's walk, so evaluation never
+    collects a term's free variables first.
+
+    A model holds no evaluation memo of its own.  A caller that checks
+    many terms against one model (the query cache's model pool) owns the
+    memo and passes it in, which decides how long the memo lives.
     """
 
     def __init__(self, assignment: Mapping[str, Value] | None = None) -> None:
@@ -40,20 +46,17 @@ class Model:
     def as_dict(self) -> Dict[str, Value]:
         return dict(self._assignment)
 
-    def evaluate(self, term: Term) -> Value:
-        """Evaluate a term under this model (unbound variables default to 0/False)."""
-        names = term.free_variables()
-        env: Dict[str, Value] = {}
-        for name, var in names.items():
-            if name in self._assignment:
-                env[name] = self._assignment[name]
-            else:
-                env[name] = False if var.is_bool() else 0
-        return evaluate(term, env)
+    def evaluate(self, term: Term, memo: Optional[Dict[int, Value]] = None) -> Value:
+        """Evaluate a term under this model (unbound variables default to 0/False).
 
-    def satisfies(self, term: Term) -> bool:
+        ``memo`` (optional, caller-owned) maps term uids to values under
+        this model; see :func:`repro.smt.evaluate.evaluate`.
+        """
+        return evaluate(term, FilledAssignment(self._assignment, 0), memo)
+
+    def satisfies(self, term: Term, memo: Optional[Dict[int, Value]] = None) -> bool:
         """True if the boolean term evaluates to true under this model."""
-        return bool(self.evaluate(term))
+        return bool(self.evaluate(term, memo))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{k}={v}" for k, v in sorted(self._assignment.items()))

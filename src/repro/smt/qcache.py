@@ -14,7 +14,11 @@ cheapest tier that can:
   set contains the query answers SAT (its model satisfies every subset);
   and any recently produced model that evaluates the slice to true
   (:mod:`repro.smt.evaluate`) answers SAT — all without touching a
-  solver.
+  solver.  Model reuse evaluates under uid memos whose lifetimes match
+  their models: each model-pool entry carries its own memo, dropped when
+  the pool evicts the entry, and the all-zeros and all-ones probes keep
+  one memo each until the next L1 reset.  Slices share most subterms,
+  so a candidate usually evaluates only the terms it has not seen.
 * **L3 persistent** — an on-disk store keyed by a *structural*
   fingerprint of the slice (term uids are process-local; the fingerprint
   is a sha256 over per-term structural digests), so a warm
@@ -53,6 +57,7 @@ from typing import (
 from ..obs.slowlog import slice_context
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import tracer
+from .evaluate import FilledAssignment, Value, evaluate
 from .interval import QuickCheckResult, quick_check
 from .model import Model
 from .slicing import Slice, arena_order, partition
@@ -183,6 +188,21 @@ def _restrict(model: Optional[Model], variables: FrozenSet[str]) -> Optional[Mod
     return Model({name: data.get(name, 0) for name in sorted(variables)})
 
 
+#: The model-reuse tier's canned probes: every variable 0 / false, and
+#: every variable all ones / true.
+_ALL_ZEROS = FilledAssignment({}, 0)
+_ALL_ONES = FilledAssignment({}, -1)
+
+
+def _all_ones_model(terms: Sequence[Term]) -> Model:
+    """The all-ones probe as a model over exactly ``terms``' variables."""
+    ones: Dict[str, Value] = {}
+    for term in terms:
+        for name, var in term.free_variables().items():
+            ones[name] = var.sort.mask if var.is_bitvec() else True  # type: ignore[attr-defined]
+    return Model(ones)
+
+
 @dataclass
 class QueryCache:
     """Multi-tier verdict/model/core cache over sliced queries.
@@ -211,7 +231,14 @@ class QueryCache:
         self._exact: Dict[Tuple[int, ...], _Entry] = {}
         self._sat_by_uid: Dict[int, List[_Entry]] = {}
         self._cores_by_uid: Dict[int, List[FrozenSet[int]]] = {}
-        self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.model_pool)
+        # Model pool: (model, its variables, its uid memo).  A memo lives
+        # exactly as long as its entry; the deque drops both on eviction.
+        self._models: Deque[Tuple[Model, FrozenSet[str], Dict[int, Value]]] = deque(
+            maxlen=self.model_pool
+        )
+        # The canned probes' memos last until the next L1 reset.
+        self._zeros_memo: Dict[int, Value] = {}
+        self._ones_memo: Dict[int, Value] = {}
 
     # -- querying ------------------------------------------------------------------
 
@@ -305,19 +332,15 @@ class QueryCache:
                 return SAT, model
 
         # Any model that happens to evaluate the slice true is a witness —
-        # concrete evaluation is far cheaper than any SAT call.  Newest
-        # pool entries first: a fork's parent-path model (just installed)
-        # usually still satisfies the child's extended slice.  The two
-        # canned probes (all-zeros, all-ones) catch the first-ever
-        # appearance of the many one-sided comparisons symbex produces.
-        for model in self._candidate_models(query_slice):
-            if all(model.satisfies(term) for term in query_slice.terms):
-                self.statistics.model_reuse_hits += 1
-                if trace.enabled:
-                    trace.event("qcache.hit", "qcache", tier="model_reuse")
-                restricted = _restrict(model, query_slice.variables)
-                self._install(query_slice, SAT, restricted)
-                return SAT, restricted
+        # concrete evaluation is far cheaper than any SAT call.
+        witness = self._find_witness(query_slice)
+        if witness is not None:
+            self.statistics.model_reuse_hits += 1
+            if trace.enabled:
+                trace.event("qcache.hit", "qcache", tier="model_reuse")
+            restricted = _restrict(witness, query_slice.variables)
+            self._install(query_slice, SAT, restricted)
+            return SAT, restricted
 
         digest: Optional[str] = None
         if self.store is not None:
@@ -346,17 +369,27 @@ class QueryCache:
         self._install(query_slice, status, model, core=core, digest=digest)
         return status, model
 
-    def _candidate_models(self, query_slice: Slice):
-        """Witness candidates for a slice, cheapest-to-likeliest first."""
-        yield Model({})  # every variable 0/False
-        ones: Dict[str, object] = {}
-        for term in query_slice.terms:
-            for name, var in term.free_variables().items():
-                ones[name] = var.sort.mask if var.is_bitvec() else True  # type: ignore[attr-defined]
-        yield Model(ones)  # type: ignore[arg-type]
-        for model, model_vars in reversed(self._models):
-            if model_vars & query_slice.variables:
-                yield model
+    def _find_witness(self, query_slice: Slice) -> Optional[Model]:
+        """A known or canned model that evaluates every slice term true.
+
+        Cheapest-to-likeliest: the all-zeros and all-ones probes catch
+        the first-ever appearance of the many one-sided comparisons
+        symbex produces; then pool models sharing a variable with the
+        slice, newest first — a fork's parent-path model (just installed)
+        usually still satisfies the child's extended slice.  Every
+        candidate evaluates under its own uid memo, so the subterms a
+        slice shares with earlier ones are not evaluated again.
+        """
+        terms = query_slice.terms
+        if all(evaluate(term, _ALL_ZEROS, self._zeros_memo) for term in terms):
+            return Model({})
+        if all(evaluate(term, _ALL_ONES, self._ones_memo) for term in terms):
+            return _all_ones_model(terms)
+        variables = query_slice.variables
+        for model, model_vars, memo in reversed(self._models):
+            if model_vars & variables and all(model.satisfies(term, memo) for term in terms):
+                return model
+        return None
 
     def _load_persisted(
         self, query_slice: Slice, digest: str
@@ -369,7 +402,8 @@ class QueryCache:
             model = Model(payload.get("model") or {})
             # Defensive: a fingerprint collision would be a soundness hole,
             # so the (cheap) witness check gates the answer.
-            if not all(model.satisfies(term) for term in query_slice.terms):
+            memo: Dict[int, Value] = {}
+            if not all(model.satisfies(term, memo) for term in query_slice.terms):
                 return None
             self.statistics.l3_hits += 1
             restricted = _restrict(model, query_slice.variables)
@@ -406,7 +440,7 @@ class QueryCache:
                 for uid in query_slice.key:
                     self._sat_by_uid.setdefault(uid, []).append(entry)
                 if model is not None and len(model):
-                    self._models.append((model, frozenset(model.as_dict())))
+                    self._models.append((model, frozenset(model.as_dict()), {}))
         if core:
             anchor = min(core)
             bucket = self._cores_by_uid.setdefault(anchor, [])

@@ -2,6 +2,7 @@
 its persistent L3 store, and the fleet-level wiring."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -174,6 +175,68 @@ class TestQueryCacheTiers:
         assert model is not None
         for term in constraints:
             assert model.satisfies(term)
+
+
+def _core_recording_cache():
+    """A cache whose stored unsat cores are also collected as term lists."""
+    cache = QueryCache()
+    cores = []
+    minimize = cache._minimize
+
+    def record(query_slice):
+        core = minimize(query_slice)
+        cores.append([term for term in query_slice.terms if term.uid in core])
+        return core
+
+    cache._minimize = record
+    return cache, cores
+
+
+def _brute_force_sat(terms, width=4):
+    names = set()
+    for term in terms:
+        names.update(term.free_variables())
+    names = sorted(names)
+    for values in itertools.product(range(1 << width), repeat=len(names)):
+        if all(smt.evaluate(term, dict(zip(names, values))) for term in terms):
+            return True
+    return False
+
+
+class TestCachedUnsatCores:
+    def test_every_stored_core_is_unsatisfiable(self):
+        rng = random.Random(29)
+        x, y = BitVec("x", 4), BitVec("y", 4)
+        atoms = [
+            ULT(x, 3), UGT(x, 10), ULT(y, 5), UGT(y, 9), Eq(x, y),
+            Not(Eq(x, BitVecVal(7, 4))), smt.ULE(y, x), Eq(x + y, BitVecVal(4, 4)),
+        ]
+        cache, cores = _core_recording_cache()
+        checker = AssumptionChecker(query_cache=cache)
+        for _round in range(60):
+            query = rng.sample(atoms, rng.randrange(1, len(atoms) + 1))
+            status, _ = checker.check(query)
+            assert (status == CheckResult.SAT) == _brute_force_sat(query)
+        assert cores and cache.statistics.unsat_core_hits > 0
+        for core in cores:
+            assert not _brute_force_sat(core), core
+
+    def test_query_sharing_terms_with_a_core_without_containing_it_is_sat(self):
+        x, y = BitVec("x", 4), BitVec("y", 4)
+        below, above, link = ULT(x, 3), UGT(x, 10), Eq(x, y)
+        cache, cores = _core_recording_cache()
+        checker = AssumptionChecker(query_cache=cache)
+        assert checker.check([below, above, ULT(y, 5), link])[0] == CheckResult.UNSAT
+        # Minimization keeps exactly the contradictory pair.
+        assert [frozenset(t.uid for t in core) for core in cores] == [
+            frozenset({below.uid, above.uid})
+        ]
+        core_hits = cache.statistics.unsat_core_hits
+        for query in ([below, ULT(y, 5), link], [above, link], [below, Not(link)]):
+            status, model = checker.check(query, need_model=True)
+            assert status == CheckResult.SAT
+            assert model is not None and all(model.satisfies(term) for term in query)
+        assert cache.statistics.unsat_core_hits == core_hits
 
 
 class TestQueryStoreL3:

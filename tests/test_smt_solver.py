@@ -30,6 +30,7 @@ from repro.smt import (
     evaluate,
 )
 from repro.smt import SLE, SLT
+from repro.smt.bitblast import BitBlaster
 from repro.smt.cnf import CNFBuilder
 from repro.smt.errors import SolverError
 from repro.smt.interval import QuickCheckResult, quick_check
@@ -163,6 +164,40 @@ class TestCNFBuilder:
                     result, _ = solve_clauses(cnf.clauses, num_vars=cnf.num_vars)
                     expected = reference(a_value, b_value)
                     assert (result == SatResult.SAT) == expected
+
+
+class _RowByRowBlaster(BitBlaster):
+    """The shift-and-add multiplier that adds every row, constant or not."""
+
+    def _multiply(self, a, b):
+        cnf = self.cnf
+        width = len(a)
+        accumulator = [cnf.FALSE] * width
+        for shift in range(width):
+            partial = [cnf.FALSE] * shift
+            partial += [cnf.lit_and(a[shift], b[i]) for i in range(width - shift)]
+            accumulator = self._add(accumulator, partial)
+        return accumulator
+
+
+class TestBitBlaster:
+    def test_skipping_constant_false_multiplier_rows_leaves_the_cnf_unchanged(self):
+        x, y = BitVec("x", 8), BitVec("y", 8)
+        terms = [
+            x * y,
+            BitVecVal(6, 8) * x,  # multiplier bits 0, 3..7 are constant FALSE
+            x * BitVecVal(40, 8),
+            smt.UDiv(x, y),  # the double-width product's upper rows
+            smt.URem(x, BitVecVal(7, 8)),
+            smt.UDiv(BitVecVal(200, 8), x),
+        ]
+        for term in terms:
+            skipping, reference = BitBlaster(), _RowByRowBlaster()
+            bits = skipping.blast_bv(term)
+            assert bits == reference.blast_bv(term)
+            assert skipping.cnf.num_vars == reference.cnf.num_vars
+            assert skipping.cnf.clauses == reference.cnf.clauses
+            assert skipping.variable_bits() == reference.variable_bits()
 
 
 class TestSolverFacade:
