@@ -70,6 +70,11 @@ def summary_key(element: Element, input_length: int, options: SymbexOptions) -> 
     so they may share entries.
     Path/time budgets are also excluded: blowing one raises instead of
     producing a summary, so it can never poison the store.
+
+    The ``loopjoin`` token in the merge field marks summaries built with
+    loop-head joins and range-pruned symbolic packet reads; entries
+    written before either existed hash to other digests and read as
+    misses, never as errors.
     """
     material = "\x1f".join(
         (
@@ -82,7 +87,7 @@ def summary_key(element: Element, input_length: int, options: SymbexOptions) -> 
             options.static_table_mode,
             f"prune={options.prune_infeasible_branches}",
             f"conflicts={options.solver_max_conflicts}",
-            f"merge={options.merge}:{options.merge_max_ites}",
+            f"merge={options.merge}:{options.merge_max_ites}:loopjoin",
         )
     )
     return hashlib.sha256(material.encode()).hexdigest()

@@ -75,6 +75,7 @@ from .errors import (
 )
 from .context import AssumptionChecker, ContextStatistics, SolverContext
 from .evaluate import evaluate
+from .interval import unsigned_range
 from .model import Model
 from .qcache import (
     QueryCache,
@@ -175,4 +176,5 @@ __all__ = [
     "slice_fingerprint",
     "substitute",
     "term_digest",
+    "unsigned_range",
 ]

@@ -12,21 +12,34 @@ from array import array
 from typing import Iterable, List, Sequence
 
 
+def decode_clauses(flat: Sequence[int], start: int = 0) -> List[List[int]]:
+    """Split a 0-terminated flat literal buffer (from ``start``) into clauses."""
+    clauses: List[List[int]] = []
+    clause: List[int] = []
+    for position in range(start, len(flat)):
+        lit = flat[position]
+        if lit == 0:
+            clauses.append(clause)
+            clause = []
+        else:
+            clause.append(lit)
+    return clauses
+
+
 class CNFBuilder:
     """Accumulates clauses and allocates variables for one solver query.
 
-    Clauses are kept twice: as ``clauses`` (a list of literal lists, the
-    view every existing consumer iterates) and as ``flat`` (the same
-    clauses as one contiguous 0-terminated ``array('i')``).  The flat
-    mirror exists for backends with a bulk-feed path
-    (``add_clause_stream``), which can ingest the whole formula without
-    materializing a Python list per clause.
+    Clauses are stored once, in ``flat``: one contiguous ``array('i')``
+    of literals with a ``0`` after each clause, the form backends with a
+    bulk-feed path (``add_clause_stream``) ingest without materializing a
+    Python list per clause.  ``num_clauses`` counts them; ``clauses`` is a
+    list view decoded on demand for per-clause consumers.
     """
 
     def __init__(self) -> None:
         self._num_vars = 1  # variable 1 is the constant-true variable
-        self.clauses: List[List[int]] = [[self.TRUE]]
         self.flat: array = array("i", [self.TRUE, 0])
+        self.num_clauses = 1
 
     #: Literal that is always true / always false in every model.
     TRUE = 1
@@ -35,6 +48,11 @@ class CNFBuilder:
     @property
     def num_vars(self) -> int:
         return self._num_vars
+
+    @property
+    def clauses(self) -> List[List[int]]:
+        """Every clause as a literal list (decoded from ``flat`` on each access)."""
+        return decode_clauses(self.flat)
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its index."""
@@ -45,15 +63,18 @@ class CNFBuilder:
         """Allocate ``count`` fresh variables."""
         return [self.new_var() for _ in range(count)]
 
+    def _check(self, *literals: int) -> None:
+        for lit in literals:
+            if lit == 0 or abs(lit) > self._num_vars:
+                raise ValueError(f"literal {lit} out of range (have {self._num_vars} vars)")
+
     def add_clause(self, literals: Sequence[int]) -> None:
         """Add a clause (a disjunction of literals)."""
         clause = list(literals)
-        for lit in clause:
-            if lit == 0 or abs(lit) > self._num_vars:
-                raise ValueError(f"literal {lit} out of range (have {self._num_vars} vars)")
-        self.clauses.append(clause)
+        self._check(*clause)
         self.flat.extend(clause)
         self.flat.append(0)
+        self.num_clauses += 1
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -76,10 +97,10 @@ class CNFBuilder:
             return a
         if a == -b:
             return self.FALSE
+        self._check(a, b)
         out = self.new_var()
-        self.add_clause([-a, -b, out])
-        self.add_clause([a, -out])
-        self.add_clause([b, -out])
+        self.flat.extend((-a, -b, out, 0, a, -out, 0, b, -out, 0))
+        self.num_clauses += 3
         return out
 
     def lit_or(self, a: int, b: int) -> int:
@@ -100,11 +121,12 @@ class CNFBuilder:
             return self.FALSE
         if a == -b:
             return self.TRUE
+        self._check(a, b)
         out = self.new_var()
-        self.add_clause([-a, -b, -out])
-        self.add_clause([a, b, -out])
-        self.add_clause([a, -b, out])
-        self.add_clause([-a, b, out])
+        self.flat.extend(
+            (-a, -b, -out, 0, a, b, -out, 0, a, -b, out, 0, -a, b, out, 0)
+        )
+        self.num_clauses += 4
         return out
 
     def lit_iff(self, a: int, b: int) -> int:
@@ -119,11 +141,17 @@ class CNFBuilder:
             return other
         if then == other:
             return then
+        self._check(cond, then, other)
         out = self.new_var()
-        self.add_clause([-cond, -then, out])
-        self.add_clause([-cond, then, -out])
-        self.add_clause([cond, -other, out])
-        self.add_clause([cond, other, -out])
+        self.flat.extend(
+            (
+                -cond, -then, out, 0,
+                -cond, then, -out, 0,
+                cond, -other, out, 0,
+                cond, other, -out, 0,
+            )
+        )
+        self.num_clauses += 4
         return out
 
     def lit_and_many(self, literals: Sequence[int]) -> int:

@@ -39,7 +39,7 @@ from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
 from .backend import make_sat_solver
 from .bitblast import BitBlaster
-from .cnf import CNFBuilder
+from .cnf import CNFBuilder, decode_clauses
 from .errors import SolverError
 from .interval import QuickCheckResult, quick_check
 from .model import Model, model_from_bits
@@ -360,25 +360,24 @@ class SolverContext:
     def _feed_clauses(self) -> None:
         """Hand newly generated CNF clauses (and variables) to the persistent SAT solver."""
         self._sat.reserve(self._cnf.num_vars)
-        clauses = self._cnf.clauses
-        if self._clauses_fed == len(clauses):
+        if self._clauses_fed == self._cnf.num_clauses:
             return
         if not getattr(self._sat, "trail_safe_feed", False):
             # The reference core requires a quiescent solver before new
             # clauses; the array core feeds under a live trail, keeping
             # its cached assumption levels (and their propagations).
             self._sat.cancel()
+        flat = self._cnf.flat
         stream = getattr(self._sat, "add_clause_stream", None)
         if stream is not None:
-            # Bulk path: feed the 0-terminated flat mirror in one call
-            # instead of one Python call per clause.
-            flat = self._cnf.flat
+            # Bulk path: feed the new tail of the 0-terminated flat
+            # buffer in one call instead of one Python call per clause.
             stream(flat, self._flat_fed, len(flat))
-            self._flat_fed = len(flat)
         else:
-            for index in range(self._clauses_fed, len(clauses)):
-                self._sat.add_clause(clauses[index])
-        self._clauses_fed = len(clauses)
+            for clause in decode_clauses(flat, self._flat_fed):
+                self._sat.add_clause(clause)
+        self._flat_fed = len(flat)
+        self._clauses_fed = self._cnf.num_clauses
 
 
 class AssumptionChecker:

@@ -9,6 +9,10 @@ interval; intervals are intersected across the conjuncts.  An empty
 interval proves unsatisfiability.  When every conjunct was understood and
 every constrained term is a genuine variable, a model can be produced
 directly, proving satisfiability without SAT.
+
+:func:`unsigned_range` is the same domain applied to a single bitvector
+term: a sound closed bound on every value the term can take, used by the
+symbolic engine to skip packet positions a symbolic offset can never hit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .evaluate import evaluate
-from .terms import Op, Term, intern_term
+from .terms import Op, Term, intern_term, iter_dag
 
 
 @dataclass
@@ -44,6 +48,49 @@ class Interval:
             if value not in self.excluded:
                 return value
         return None
+
+
+def unsigned_range(term: Term) -> Tuple[int, int]:
+    """Closed bounds ``(lo, hi)`` on the unsigned value of a bitvector term.
+
+    Sound under every assignment: the term never evaluates outside the
+    bounds.  Constants, ``zero-extend``, ``bvadd`` and ``bvmul`` (whose
+    bounds are dropped to the full range when the upper sum/product could
+    wrap), ``bvand`` (no larger than its smallest operand) and ``bv-ite``
+    (the hull of both arms) are understood; every other node gets the full
+    range of its width.  One iterative pass over the DAG with a uid memo,
+    so deep offset chains cost no recursion.
+    """
+    ranges: Dict[int, Tuple[int, int]] = {}
+    for node in iter_dag([term]):
+        if not node.sort.is_bitvec():
+            continue
+        op = node.op
+        top = (1 << node.sort.width) - 1  # type: ignore[attr-defined]
+        bounds = (0, top)
+        if op == Op.BV_CONST:
+            value = int(node.value)  # type: ignore[arg-type]
+            bounds = (value, value)
+        elif op == Op.BV_ZEXT:
+            bounds = ranges[node.args[0].uid]
+        elif op == Op.BV_ADD or op == Op.BV_MUL:
+            lo, hi = ranges[node.args[0].uid]
+            for arg in node.args[1:]:
+                arg_lo, arg_hi = ranges[arg.uid]
+                if op == Op.BV_ADD:
+                    lo, hi = lo + arg_lo, hi + arg_hi
+                else:
+                    lo, hi = lo * arg_lo, hi * arg_hi
+            if hi <= top:
+                bounds = (lo, hi)
+        elif op == Op.BV_AND:
+            bounds = (0, min(ranges[arg.uid][1] for arg in node.args))
+        elif op == Op.BV_ITE:
+            then_lo, then_hi = ranges[node.args[1].uid]
+            else_lo, else_hi = ranges[node.args[2].uid]
+            bounds = (min(then_lo, else_lo), max(then_hi, else_hi))
+        ranges[node.uid] = bounds
+    return ranges[intern_term(term).uid]
 
 
 class QuickCheckResult:

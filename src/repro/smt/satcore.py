@@ -210,6 +210,8 @@ class ArraySolver:
             end = len(literals)
         val = self._val
         level = self._level
+        arena = self._arena
+        watches = self._watches
         clause: List[int] = []
         satisfied = False
         taut_or_dup = False
@@ -219,7 +221,29 @@ class ArraySolver:
             position += 1
             if lit == 0:
                 if not satisfied:
-                    if taut_or_dup or len(clause) > 3:
+                    size = len(clause)
+                    if (
+                        1 < size < 4
+                        and not taut_or_dup
+                        and val[clause[0]] != 0
+                        and val[clause[1]] != 0
+                    ):
+                        # Inline :meth:`_commit_clause` for the common
+                        # Tseitin clause whose first two watches are
+                        # already non-false: no watch reordering needed.
+                        offset = len(arena)
+                        arena.append(size)
+                        arena.extend(clause)
+                        self._n_problem_clauses += 1
+                        stored = ~offset if size == 2 else offset
+                        first, second = clause[0], clause[1]
+                        watch = watches[first ^ 1]
+                        watch.append(second)
+                        watch.append(stored)
+                        watch = watches[second ^ 1]
+                        watch.append(first)
+                        watch.append(stored)
+                    elif taut_or_dup or size > 3:
                         # Rare slow path: re-check with full dedup rules.
                         seen: set = set()
                         deduped: List[int] = []

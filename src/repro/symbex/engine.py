@@ -427,7 +427,8 @@ class SymbolicEngine:
         return results
 
     def _merge_join(self, states: List[PathState]) -> List[PathState]:
-        """Fold mergeable sibling states after both arms of an ``If`` complete."""
+        """Fold mergeable sibling states at a join: both arms of an ``If``
+        completed, a loop head, or a loop exit."""
         if self.options.merge == MergeMode.OFF or len(states) < 2:
             return states
         started = clock()
@@ -499,9 +500,11 @@ class SymbolicEngine:
                                 finished.append(after_body)
                             else:
                                 next_active.append(after_body)
-            active = next_active
+            # Loop head: the states entering the next iteration are
+            # siblings of one fork tree, so they join like an ``If``'s arms.
+            active = self._merge_join(next_active)
             self._check_budget(finished + active, stmt)
-        return finished
+        return self._merge_join(finished)
 
     # -- expression evaluation ------------------------------------------------------------------
 
@@ -656,7 +659,10 @@ class SymbolicEngine:
             shift = 8 * (nbytes - 1 - index)
             byte_value = smt.Extract(shift + 7, shift, value)
             target = smt.simplify(offset + smt.BitVecVal(index, 64))
-            for position in range(len(state.packet)):
+            # As in ``SymbolicPacket.select``: a position outside the
+            # target's range keeps its byte under every assignment.
+            low, high = smt.unsigned_range(target)
+            for position in range(low, min(len(state.packet), high + 1)):
                 state.packet.set_byte(
                     position,
                     smt.If(

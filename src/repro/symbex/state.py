@@ -112,9 +112,15 @@ class SymbolicPacket:
         self._assign(self.bytes[nbytes:])
 
     def select(self, offset_term: Term, length_guard: int) -> Term:
-        """Read one byte at a *symbolic* offset as an if-then-else over positions."""
+        """Read one byte at a *symbolic* offset as an if-then-else over positions.
+
+        Only positions inside :func:`smt.unsigned_range` of the offset get
+        an arm: the guard ``offset == k`` of any other arm is false under
+        every assignment, so dropping it leaves the term's value unchanged.
+        """
+        low, high = smt.unsigned_range(offset_term)
         result = smt.BitVecVal(0, 8)
-        for index in range(min(self._length, length_guard)):
+        for index in range(low, min(self._length, length_guard, high + 1)):
             result = smt.If(
                 smt.Eq(offset_term, smt.BitVecVal(index, 64)), self.byte(index), result
             )

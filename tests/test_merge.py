@@ -197,6 +197,52 @@ class TestCatalogDifferential:
             )
 
 
+class TestLoopJoinDifferential:
+    """Loop-head and loop-exit joins against the unmerged oracle on the
+    options loop, where they fire on every iteration."""
+
+    @pytest.mark.parametrize(
+        "length, max_options, checked",
+        [(24, 6, False), (24, 6, True), (40, 4, False)],
+    )
+    def test_ipoptions_verdicts_agree_across_modes(self, length, max_options, checked):
+        from repro.dataplane import PipelineDriver
+        from repro.dataplane.elements import CheckIPHeader, IPOptions
+
+        def pipeline():
+            elements = [IPOptions(name="opts", max_options=max_options)]
+            if checked:
+                elements.insert(0, CheckIPHeader(name="check"))
+            return Pipeline.chain(elements, name="options")
+
+        results = {
+            mode: verify_crash_freedom(
+                pipeline(), input_lengths=[length], options=SymbexOptions(merge=mode)
+            )
+            for mode in MODES
+        }
+        reference = results[MergeMode.OFF]
+        for mode in MODES:
+            result = results[mode]
+            assert result.verdict == reference.verdict, mode
+            assert {ce.violating_element for ce in result.counterexamples} == {
+                ce.violating_element for ce in reference.counterexamples
+            }
+            for counterexample in result.counterexamples:
+                assert counterexample.confirmed_by_replay, (mode, counterexample)
+                assert PipelineDriver(pipeline()).inject(counterexample.packet).crashed
+
+    def test_loop_joins_fire_and_shrink_the_summary(self):
+        from repro.dataplane.elements import IPOptions
+
+        element = IPOptions(name="opts", max_options=6)
+        merged, _ = summarize(element, 24)
+        unmerged, _ = summarize(element, 24, merge=MergeMode.OFF)
+        assert merged.paths_merged > 0
+        assert len(merged.segments) < len(unmerged.segments)
+        assert outcome_signature(merged) == outcome_signature(unmerged)
+
+
 def random_element(seed):
     """A deterministic random branchy element: nested ifs over packet bytes,
     register arithmetic, stores, occasional asserts and drops."""

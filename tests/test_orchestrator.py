@@ -18,6 +18,7 @@ from repro.orchestrator import (
     program_fingerprint,
     summary_key,
 )
+from repro.dataplane import Pipeline
 from repro.orchestrator.errors import OrchestratorError, SerializationError
 from repro.symbex import SymbexOptions
 from repro.symbex.engine import SymbolicEngine
@@ -242,6 +243,47 @@ class TestSummaryStore:
         assert base != summary_key(element, 24, SymbexOptions(solver_max_conflicts=10))
         assert base == summary_key(element, 24, SymbexOptions(incremental=False))
         assert base == summary_key(element, 24, SymbexOptions(max_paths=7))
+
+    def test_entry_under_pre_loopjoin_key_reads_as_miss(self, tmp_path):
+        # A store filled before loop-head joins and range-pruned reads
+        # holds summaries of the old shape under the old digest.  They must
+        # read as misses (and be recomputed), never as errors or hits.
+        import hashlib
+
+        from repro.dataplane.fingerprint import configuration_fingerprint
+        from repro.orchestrator import FORMAT_VERSION
+
+        element = SyntheticBranchyElement(2, name="old")
+        options = SymbexOptions()
+        old_digest = hashlib.sha256(
+            "\x1f".join(
+                (
+                    f"v{FORMAT_VERSION}",
+                    configuration_fingerprint(element, include_static_tables=True),
+                    "24",
+                    options.static_table_mode,
+                    f"prune={options.prune_infeasible_branches}",
+                    f"conflicts={options.solver_max_conflicts}",
+                    f"merge={options.merge}:{options.merge_max_ites}",
+                )
+            ).encode()
+        ).hexdigest()
+        assert old_digest != summary_key(element, 24, options)
+
+        store = SummaryStore(tmp_path)
+        store.write_entry(old_digest, dumps_summary(_summarize(element)))
+        store.flush()
+        assert store.load(element, 24, options) is None
+        assert store.statistics.misses == 1 and store.statistics.corrupt_entries == 0
+
+        report = certify_fleet(
+            [Pipeline.chain([element], name="p")],
+            [CrashFreedom()],
+            input_lengths=(24,),
+            store=store,
+        )
+        assert report.statistics.summaries_computed == 1
+        assert store.load(element, 24, options) is not None
 
     def test_verifier_rejects_cache_plus_store(self, tmp_path):
         from repro.verify import VerificationError
