@@ -17,7 +17,10 @@ cache, CLI) selects its decision procedure by *name* through
 
 All backends speak the same protocol (:class:`SatBackend`): DIMACS
 integer literals in, :class:`~repro.smt.sat.SatResult` strings out, a
-``model()`` list indexed by variable.  DIMACS emit/parse lives here too,
+``model()`` list indexed by variable.  ``solve``'s ``scope`` names the
+variables a query reads (:meth:`repro.smt.bitblast.BitBlaster.cone`); it
+is a permission, not a duty — a core may stop once those are assigned
+(the array core does), or assign every variable as usual.  DIMACS emit/parse lives here too,
 so differential testing across process boundaries falls out for free.
 """
 
@@ -61,7 +64,8 @@ class SatBackend(Protocol):
     def add_clause(self, literals: Sequence[int]) -> bool: ...  # noqa: E704 - protocol stub
 
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None) -> str: ...  # noqa: E704 - protocol stub
+              max_conflicts: Optional[int] = None,
+              scope: Optional[Sequence[Tuple[int, int]]] = None) -> str: ...  # noqa: E704
 
     def model(self) -> List[bool]: ...  # noqa: E704 - protocol stub
 
@@ -268,11 +272,13 @@ class ExternalSolver:
         self,
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,  # noqa: ARG002 - external budget unsupported
+        scope: Optional[Sequence[Tuple[int, int]]] = None,  # noqa: ARG002 - a hint only
     ) -> str:
         """Run the external binary on the current clause set + assumptions.
 
         ``max_conflicts`` is not forwarded — external solvers answer
-        definitively or time out (which degrades to ``unknown``).
+        definitively or time out (which degrades to ``unknown``).  The
+        ``scope`` hint is not needed: the binary assigns every variable.
         """
         if not self._ok:
             return SatResult.UNSAT

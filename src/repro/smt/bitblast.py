@@ -9,11 +9,28 @@ through its multiplicative definition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .cnf import CNFBuilder
 from .errors import InvalidTermError
 from .terms import Op, Term, intern_term
+
+
+#: Sorted, disjoint, non-adjacent half-open variable intervals ``[lo, hi)``.
+Cone = Tuple[Tuple[int, int], ...]
+
+
+def _merge_cones(parts: Sequence[Cone]) -> Cone:
+    """Union of interval tuples, coalescing overlapping and adjacent ones."""
+    intervals = sorted(interval for part in parts for interval in part)
+    merged: List[Tuple[int, int]] = []
+    for low, high in intervals:
+        if merged and low <= merged[-1][1]:
+            if high > merged[-1][1]:
+                merged[-1] = (merged[-1][0], high)
+        else:
+            merged.append((low, high))
+    return tuple(merged)
 
 
 class BitBlaster:
@@ -26,6 +43,14 @@ class BitBlaster:
     reinterns to the pinned instance and reuses its encoding instead of
     re-blasting.  (The former ``id(term)``-keyed cache could neither
     survive reconstruction nor safely outlive unpinned subterms.)
+
+    Each encoded node also records its *cone*: the variables its
+    encoding reads, as sorted disjoint half-open intervals — the
+    variables allocated while blasting it plus its children's cones.
+    Every clause the blaster emits is a definition of variables allocated
+    for one node in terms of that node's cone, so an assignment to the
+    cone of some roots that satisfies every clause over those variables
+    extends to a model of the whole formula (see :meth:`cone`).
 
     ``passes`` counts root-level blasts that missed the cache — genuine
     bit-blasting passes — and ``cache_hits`` counts every node answered
@@ -44,6 +69,7 @@ class BitBlaster:
         # the whole encoded sub-DAG (and its uids) alive.
         self._bv_cache: Dict[int, Tuple[Term, List[int]]] = {}
         self._bool_cache: Dict[int, Tuple[Term, int]] = {}
+        self._cones: Dict[int, Cone] = {}
         self.passes = 0
         self.cache_hits = 0
         self._depth = 0
@@ -67,11 +93,13 @@ class BitBlaster:
         if self._depth == 0:
             self.passes += 1
         self._depth += 1
+        first_var = self.cnf.num_vars + 1
         try:
             literal = self._blast_bool(term)
         finally:
             self._depth -= 1
         self._bool_cache[term.uid] = (term, literal)
+        self._record_cone(term, first_var)
         return literal
 
     def blast_bv(self, term: Term) -> List[int]:
@@ -86,6 +114,7 @@ class BitBlaster:
         if self._depth == 0:
             self.passes += 1
         self._depth += 1
+        first_var = self.cnf.num_vars + 1
         try:
             bits = self._blast_bv(term)
         finally:
@@ -96,7 +125,32 @@ class BitBlaster:
                 f"expected {term.width}"
             )
         self._bv_cache[term.uid] = (term, bits)
+        self._record_cone(term, first_var)
         return bits
+
+    def cone(self, roots: Sequence[Term]) -> Cone:
+        """Variable intervals the encodings of ``roots`` (all blasted) read.
+
+        A SAT core may stop at a conflict-free propagation fixpoint that
+        assigns every variable of this cone: the variables outside it are
+        defined by clauses that any value of their inputs satisfies (a
+        Tseitin gate output, a division's quotient and remainder), so the
+        assignment extends to a model of every clause, learned ones
+        included.  Variable 1 (constant true) is always in the cone.
+        """
+        cones = self._cones
+        parts = [cones[intern_term(root).uid] for root in roots]
+        parts.append(((1, 2),))
+        return _merge_cones(parts)
+
+    def _record_cone(self, term: Term, first_var: int) -> None:
+        cones = self._cones
+        # Constant shift amounts are never blasted: they read no variables.
+        parts = [cones.get(arg.uid, ()) for arg in term.args]
+        end = self.cnf.num_vars + 1
+        if end > first_var:
+            parts.append(((first_var, end),))
+        cones[term.uid] = parts[0] if len(parts) == 1 else _merge_cones(parts)
 
     def variable_bits(self) -> Dict[Tuple[str, int], List[int]]:
         """Mapping from (variable name, width) to its SAT literals (for model extraction)."""

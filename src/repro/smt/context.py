@@ -173,7 +173,7 @@ class SolverContext:
         if self.query_cache is not None:
             return self._check_optimized(extra, started)
 
-        literals: List[int] = []
+        roots: List[Term] = []
         trivially_unsat = False
         for term in self.assertions() + [t for t in extra]:
             reduced = simplify(term)
@@ -182,14 +182,15 @@ class SolverContext:
             if reduced.is_false():
                 trivially_unsat = True
                 break
-            literals.append(self._literal(reduced))
+            self._literal(reduced)
+            roots.append(reduced)
         self.statistics.encode_seconds += clock() - started
 
         if trivially_unsat:
             return self._finish(CheckResult.UNSAT)
 
         solve_started = clock()
-        status, model = self._solve_assumptions(literals)
+        status, model = self._solve_assumptions(roots)
         self.statistics.solve_seconds += clock() - solve_started
         self._model = model
         return self._finish(status)
@@ -243,7 +244,9 @@ class SolverContext:
 
         # Unbatched: one encode sweep per core-reaching slice.
         self.statistics.encode_passes += 1
-        return self._solve_assumptions([self._literal(term) for term in terms])
+        for term in terms:
+            self._literal(term)
+        return self._solve_assumptions(terms)
 
     def _make_batch(self, groups: Sequence[Sequence[Term]]) -> List:
         """Batched slice solving on the persistent core: one encode, N solves.
@@ -267,10 +270,11 @@ class SolverContext:
                 return
             # One encode sweep covers every slice of the arena.
             self.statistics.encode_passes += 1
-            state["literals"] = [
-                [self._literal(term) for term in terms] for terms in groups
-            ]
+            for terms in groups:
+                for term in terms:
+                    self._literal(term)
             self._feed_clauses()
+            state["encoded"] = True
 
         def solve_group(index: int):
             def run(terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
@@ -284,24 +288,31 @@ class SolverContext:
                     self.statistics.quick_check_hits += 1
                     return CheckResult.SAT, Model(quick.model)
                 ensure_encoded()
-                return self._solve_assumptions(state["literals"][index])  # type: ignore[index]
+                return self._solve_assumptions(groups[index])
 
             return run
 
         return [solve_group(index) for index in range(len(groups))]
 
-    def _solve_assumptions(self, literals: List[int]) -> Tuple[str, Optional[Model]]:
-        """Run one CDCL search under ``literals``, with the work bookkeeping.
+    def _solve_assumptions(self, roots: Sequence[Term]) -> Tuple[str, Optional[Model]]:
+        """Run one CDCL search assuming the (already encoded) ``roots``.
 
+        The search is scoped to the roots' cone: the encodings of every
+        earlier query share this CNF, and the core need not assign them.
         The shared tail of the plain and optimized paths; ``solve_seconds``
         is deliberately the caller's concern (the optimized path times the
         whole cache interaction instead).
         """
         self._feed_clauses()
+        literals = [self._literals[intern_term(root).uid][1] for root in roots]
         conflicts_before = self._sat.conflicts
         decisions_before = self._sat.decisions
         self.statistics.sat_core_calls += 1
-        outcome = self._sat.solve(assumptions=literals, max_conflicts=self._max_conflicts)
+        outcome = self._sat.solve(
+            assumptions=literals,
+            max_conflicts=self._max_conflicts,
+            scope=self._blaster.cone(roots),
+        )
         self.statistics.sat_conflicts += self._sat.conflicts - conflicts_before
         self.statistics.sat_decisions += self._sat.decisions - decisions_before
         self.statistics.learned_clauses = self._sat.learned_clause_count

@@ -12,7 +12,7 @@ so a straightforward CDCL loop is more than adequate.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.slowlog import sat_observer
 
@@ -156,13 +156,15 @@ class SATSolver:
         self,
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
+        scope: Optional[Sequence[Tuple[int, int]]] = None,  # noqa: ARG002 - a hint only
     ) -> str:
         """Solve the formula, optionally under assumptions and a conflict budget.
 
         Returns one of :class:`SatResult`'s values.  ``UNKNOWN`` is only
         returned when ``max_conflicts`` is exhausted.  The budget applies to
         *this* call: on a persistent solver the conflicts of earlier queries
-        do not count against it.
+        do not count against it.  The oracle ignores the ``scope`` hint
+        (see :mod:`repro.smt.backend`) and always assigns every variable.
         """
         observer = sat_observer("reference")
         if observer is None:

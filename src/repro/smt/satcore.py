@@ -23,9 +23,16 @@ for CPython throughput:
   lazy deletion (stale entries re-pushed at their current priority, live
   keys deduplicated through ``_onheap``), and the zero-activity rest is
   found by an index cursor that yields exactly the heap's tie-break
-  order with no heap traffic at all.  A complete assignment is detected
-  from the trail length, never by draining the heap, so surviving
-  entries carry over to the next solve;
+  order with no heap traffic at all;
+* **scoped search** — a solve may name the variables its query reads
+  (``scope``: the bit-blaster's cone of the assumption roots).  Only
+  those are branched on, and the solve answers SAT at the first
+  conflict-free fixpoint that assigns all of them: every other variable
+  is defined by Tseitin clauses that extend any such assignment to a
+  model.  A persistent incremental context holds the encodings of every
+  earlier query, so this skips most of the formula.  The cursor over
+  the scope doubles as the SAT test, so the heap is never drained to
+  detect a model and surviving entries carry over to the next solve;
 * **O(1) assumption placement** — each assumption owns one decision
   level (satisfied assumptions hold an empty level), so the solve loop
   places ``assumptions[decision_level]`` directly instead of rescanning
@@ -54,6 +61,7 @@ the two cores are interchangeable behind
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -95,10 +103,12 @@ class ArraySolver:
         # zero-activity rest:
         #   * ``_order`` — lazy max-heap of (-activity, var) entries for
         #     act > 0 vars only; stale entries dropped or re-keyed on pop.
-        #   * ``_zero_cursor`` — index scan for act == 0 vars.  Heap
-        #     order breaks activity ties by index, so the cursor yields
-        #     exactly the order the heap would — without paying a heap
-        #     operation per propagation-assigned variable.
+        #   * ``_zero_cursor`` — index scan over the solve's scope for
+        #     the lowest unassigned var.  Heap order breaks activity ties
+        #     by index, so for act == 0 vars the cursor yields exactly the
+        #     order the heap would — without paying a heap operation per
+        #     propagation-assigned variable.  Reaching the scope's end is
+        #     the SAT test.
         self._order: List[Tuple[float, int]] = []
         self._zero_cursor = 1
         # Key of the variable's live heap entry (-1.0 when it has none):
@@ -285,19 +295,26 @@ class ArraySolver:
         self,
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
+        scope: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> str:
         """Solve under ``assumptions`` (DIMACS literals) and a conflict budget.
 
         Same contract as the reference core: ``UNKNOWN`` only on budget
-        exhaustion; the budget covers this call only.
+        exhaustion; the budget covers this call only.  ``scope`` lists
+        sorted half-open variable intervals that contain every assumption
+        variable and whose complement is defined by clauses any
+        assignment of the scope extends (see
+        :meth:`repro.smt.bitblast.BitBlaster.cone`); SAT is then answered
+        once the scope alone is assigned, and :meth:`model` is only
+        meaningful on it.  ``None`` scopes every variable.
         """
         observer = sat_observer("array")
         if observer is None:
-            return self._solve(assumptions, max_conflicts)
+            return self._solve(assumptions, max_conflicts, scope)
         conflicts = self.conflicts
         decisions = self.decisions
         restarts = self.restarts
-        result = self._solve(assumptions, max_conflicts)
+        result = self._solve(assumptions, max_conflicts, scope)
         observer.finish(
             result,
             self.conflicts - conflicts,
@@ -309,8 +326,9 @@ class ArraySolver:
 
     def _solve(
         self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
+        assumptions: Sequence[int],
+        max_conflicts: Optional[int],
+        scope: Optional[Sequence[Tuple[int, int]]],
     ) -> str:
         if not self._ok:
             return SatResult.UNSAT
@@ -321,21 +339,30 @@ class ArraySolver:
             if (code >> 1) > self._num_vars:
                 self._ensure_vars(code >> 1)
         num_assumptions = len(assumption_codes)
+        if scope is None:
+            scope = ((1, self._num_vars + 1),)
+        scope_vars = [var for low, high in scope for var in range(low, high)]
+        in_scope = bytearray(self._num_vars + 1)
+        for low, high in scope:
+            in_scope[low:high] = b"\x01" * (high - low)
+        # The scope changed: rescan it from the start.
+        self._zero_cursor = 1
 
-        # Model reuse: if the previous solve left a complete assignment on
-        # the trail (a propagation fixpoint over all variables with no
-        # conflict is a model by the watch invariant) and every current
-        # assumption is already true under it, it satisfies this query
-        # too — answer without disturbing the trail.
+        # Model reuse: if the previous solve left a conflict-free
+        # propagation fixpoint on the trail that assigns this query's
+        # whole scope and makes every current assumption true, it extends
+        # to a model of this query too — answer without disturbing the
+        # trail.
         kept = self._kept_assumptions
         val = self._val
-        if kept and self._head == len(self._trail) == self._num_vars:
+        if kept and self._head == len(self._trail):
             for code in assumption_codes:
                 if val[code] != 1:
                     break
             else:
-                self.model_reuses += 1
-                return SatResult.SAT
+                if self._next_in_scope(scope_vars) == 0:
+                    self.model_reuses += 1
+                    return SatResult.SAT
 
         # Trail caching: incremental callers issue runs of solves over a
         # shared assumption prefix (trail-safe feeds only unwind what a
@@ -362,9 +389,7 @@ class ArraySolver:
         trail_lim = self._trail_lim
         level = self._level
         reason = self._reason
-        act = self._act
         phase = self._phase
-        pending = self._pending
 
         while True:
             conflict = self._propagate()
@@ -412,56 +437,10 @@ class ArraySolver:
                     self._kept_assumptions = assumption_codes[:decision_level]
                     return SatResult.UNSAT
             else:
-                # All variables assigned at a conflict-free fixpoint is a
-                # model.  Detect it from the trail length instead of by
-                # draining the heap: the surviving entries spare the next
-                # solve from re-enqueueing the whole variable set.
-                if len(trail) == self._num_vars:
+                code = self._pick_branch(scope_vars, in_scope)
+                if code < 0:
                     self._kept_assumptions = assumption_codes
                     return SatResult.SAT
-                # Inline :meth:`_pick_branch` (the per-decision method
-                # call is measurable at this call count): flush the
-                # pending unwinds, pop the most active bumped variable,
-                # fall back to the zero-activity cursor.
-                order = self._order
-                onheap = self._onheap
-                if pending:
-                    for var in pending:
-                        if val[var + var] < 0 and onheap[var] != act[var]:
-                            heappush(order, (-act[var], var))
-                            onheap[var] = act[var]
-                    del pending[:]
-                    if len(order) > 2 * self._num_vars + 64:
-                        self._rebuild_order()
-                        order = self._order
-                        onheap = self._onheap
-                code = -1
-                while order:
-                    key, var = heappop(order)
-                    if -key == onheap[var]:
-                        onheap[var] = -1.0
-                    if val[var + var] >= 0:
-                        continue
-                    activity = act[var]
-                    if -key != activity:
-                        if onheap[var] != activity:
-                            heappush(order, (-activity, var))
-                            onheap[var] = activity
-                        continue
-                    code = var + var + phase[var]
-                    break
-                if code < 0:
-                    num_vars = self._num_vars
-                    cursor = self._zero_cursor
-                    while cursor <= num_vars and val[cursor + cursor] >= 0:
-                        cursor += 1
-                    self._zero_cursor = cursor
-                    if cursor > num_vars:  # pragma: no cover - guarded above
-                        raise RuntimeError(
-                            "branch lookup found no unassigned variable "
-                            "below a complete trail"
-                        )
-                    code = cursor + cursor + phase[cursor]
             # Inline :meth:`_assign` for the new decision level.
             self.decisions += 1
             trail_lim.append(len(trail))
@@ -503,8 +482,8 @@ class ArraySolver:
         self._phase.extend([1] * grow)
         for _ in range(2 * grow):
             self._watches.append([])
-        # New variables start at zero activity: the cursor finds them
-        # (it can never have advanced past ``count + 1``), no heap entry.
+        # New variables start at zero activity: the scope cursor (reset
+        # by every solve) finds them, no heap entry.
         self._onheap.extend([-1.0] * grow)
         self._num_vars = count
 
@@ -528,10 +507,10 @@ class ArraySolver:
         the trail (see ``trail_safe_feed``).  The clause is committed with
         a non-false first watch so its future falsification is always
         observed; a clause arriving fully falsified first backtracks to
-        the level that frees its highest literal.  Implications the new
-        clause would produce under the current trail are discovered lazily
-        (through later watch events or conflicts) — that costs search
-        effort, never soundness.
+        the level that frees its highest literal.  A clause that is unit
+        under the trail backtracks to the level of its most recent false
+        literal and implies its free literal there, so the next solve
+        propagates it instead of rediscovering it by search.
         """
         if not clause:
             self._ok = False
@@ -551,36 +530,24 @@ class ArraySolver:
                 self._assign(code, -1)
             return True
         val = self._val
+        implied = -1
         if val[clause[0]] == 0 or val[clause[1]] == 0:
-            non_false = []
-            for position, code in enumerate(clause):
-                if val[code] != 0:
-                    non_false.append(position)
-                    if len(non_false) == 2:
-                        break
-            if not non_false:
-                # Fully falsified under the trail: free the most recent
-                # literal (its level is >= 1, root-false literals were
-                # already simplified away) and keep the rest.
-                level = self._level
-                highest = max(level[code >> 1] for code in clause)
-                self._backtrack(highest - 1)
-                kept = self._kept_assumptions
-                if len(kept) > highest - 1:
-                    del kept[highest - 1:]
-                for position, code in enumerate(clause):
-                    if val[code] != 0:
-                        non_false.append(position)
-                        if len(non_false) == 2:
-                            break
-            first = non_false[0]
-            second = non_false[1] if len(non_false) > 1 else None
-            if first != 0:
-                clause[0], clause[first] = clause[first], clause[0]
-                if second == 0:
-                    second = first
-            if second is not None and second != 1:
-                clause[1], clause[second] = clause[second], clause[1]
+            # Watch the literals that stay non-false longest: non-false
+            # ones first, then false ones by falling decision level.
+            level = self._level
+            top = len(level)
+            clause.sort(
+                key=lambda code: top if val[code] != 0 else level[code >> 1], reverse=True
+            )
+            if val[clause[0]] == 0:
+                # Fully falsified under the trail: free its most recent
+                # literals (level >= 1: root-false ones were simplified away).
+                self._backtrack_kept(level[clause[0] >> 1] - 1)
+            if val[clause[1]] == 0 and val[clause[0]] < 0:
+                # Unit under the trail: imply its free literal now, at the
+                # level of its most recent false literal.
+                self._backtrack_kept(level[clause[1] >> 1])
+                implied = clause[0]
         arena = self._arena
         offset = len(arena)
         arena.append(len(clause))
@@ -594,7 +561,14 @@ class ArraySolver:
         self._watches[clause[0] ^ 1].append(stored)
         self._watches[clause[1] ^ 1].append(clause[0])
         self._watches[clause[1] ^ 1].append(stored)
+        if implied >= 0:
+            self._assign(implied, offset)
         return True
+
+    def _backtrack_kept(self, target_level: int) -> None:
+        """Backtrack during a feed, keeping the assumption levels that survive."""
+        self._backtrack(target_level)
+        del self._kept_assumptions[target_level:]
 
     # -- propagation (the hot loop) -----------------------------------------------------
 
@@ -876,7 +850,7 @@ class ArraySolver:
             reason[var] = -1
             if act[var] != 0.0:
                 pending.append(var)
-            elif var < cursor:
+            if var < cursor:
                 cursor = var
         self._zero_cursor = cursor
         del trail[boundary:]
@@ -888,26 +862,44 @@ class ArraySolver:
 
     # -- branching (lazy VSIDS max-heap) ------------------------------------------------
 
-    def _pick_branch(self) -> int:
-        """Pop the most active unassigned variable; -1 when all are assigned.
+    def _next_in_scope(self, scope_vars: List[int]) -> int:
+        """Lowest unassigned scope variable (0 when the scope is assigned).
 
-        The solve loop carries an inlined copy of this method (one call
-        per decision is measurable); this is the readable reference.
+        ``_zero_cursor`` keeps "every scope variable below it is
+        assigned": backtracking lowers it to each variable it unassigns,
+        and a solve with a new scope resets it to 1.
+        """
+        val = self._val
+        position = bisect_left(scope_vars, self._zero_cursor)
+        end = len(scope_vars)
+        while position < end and val[2 * scope_vars[position]] >= 0:
+            position += 1
+        if position == end:
+            self._zero_cursor = self._num_vars + 1
+            return 0
+        var = scope_vars[position]
+        self._zero_cursor = var
+        return var
+
+    def _pick_branch(self, scope_vars: List[int], in_scope: bytearray) -> int:
+        """Decision literal code, or -1 when every scope variable is assigned.
 
         Bumped (act > 0) variables live in the ``(-activity, var)`` heap;
         an entry pushed before the variable's last bump is stale and is
-        re-pushed at its current priority (activity only grows between
-        rescales, so the fresh entry can only sink, never unfairly win).
-        Zero-activity variables are found by the index cursor instead —
-        the same order the heap's index tie-break would give them, with
-        no per-variable heap traffic.
+        re-pushed at its current priority (activity only ever grows
+        between rescales, so the fresh entry can only sink, never
+        unfairly win).  Entries of variables outside the scope are
+        dropped.  With no live heap entry left, the lowest unassigned
+        scope variable is taken — the order the heap's index tie-break
+        would give the zero-activity ones, with no heap traffic.
 
         Bumped variables unassigned by backtracking sit in ``_pending``
         until a branch decision actually needs the heap; the many that
         get reassigned by propagation first are dropped here for free.
         """
-        if len(self._trail) == self._num_vars:
-            return -1  # complete assignment; keep the heap's entries alive
+        lowest = self._next_in_scope(scope_vars)
+        if lowest == 0:
+            return -1  # keep the heap's entries alive for the next solve
         val = self._val
         act = self._act
         order = self._order
@@ -927,8 +919,8 @@ class ArraySolver:
             key, var = heappop(order)
             if -key == onheap[var]:
                 onheap[var] = -1.0
-            if val[var + var] >= 0:
-                continue  # assigned; re-enqueued by the unwinding backtrack
+            if val[var + var] >= 0 or not in_scope[var]:
+                continue  # assigned (re-enqueued by the unwinding backtrack) or out of scope
             activity = act[var]
             if -key != activity:
                 if onheap[var] != activity:
@@ -936,16 +928,7 @@ class ArraySolver:
                     onheap[var] = activity
                 continue
             return var + var + self._phase[var]
-        num_vars = self._num_vars
-        cursor = self._zero_cursor
-        while cursor <= num_vars and val[cursor + cursor] >= 0:
-            cursor += 1
-        self._zero_cursor = cursor
-        if cursor > num_vars:  # pragma: no cover - complete-trail check above
-            raise RuntimeError(
-                "branch lookup found no unassigned variable below a complete trail"
-            )
-        return cursor + cursor + self._phase[cursor]
+        return lowest + lowest + self._phase[lowest]
 
     def _rebuild_order(self) -> None:
         """Compact the heap to one fresh entry per unassigned bumped variable."""

@@ -259,10 +259,8 @@ class Solver:
             if state:
                 return
             blaster = BitBlaster()
-            roots = [
-                blaster.blast_bool(terms[0] if len(terms) == 1 else mk_and(*terms))
-                for terms in groups
-            ]
+            goals = [terms[0] if len(terms) == 1 else mk_and(*terms) for terms in groups]
+            roots = [blaster.blast_bool(goal) for goal in goals]
             self.statistics.blast_passes += blaster.passes
             self.statistics.blast_cache_hits += blaster.cache_hits
             sat_solver = make_sat_solver(self.sat_backend, blaster.cnf.num_vars)
@@ -270,6 +268,7 @@ class Solver:
             state["blaster"] = blaster
             state["solver"] = sat_solver
             state["roots"] = roots
+            state["goals"] = goals
 
         def solve_group(index: int):
             def run(terms: Sequence[Term]) -> tuple[str, Optional[Model]]:
@@ -290,9 +289,12 @@ class Solver:
                 conflicts_before = sat_solver.conflicts
                 decisions_before = sat_solver.decisions
                 self.statistics.sat_core_calls += 1
+                blaster = state["blaster"]
                 outcome = sat_solver.solve(
                     assumptions=[state["roots"][index]],  # type: ignore[index]
                     max_conflicts=self._max_conflicts,
+                    # Only this slice's encoding need be assigned.
+                    scope=blaster.cone([state["goals"][index]]),  # type: ignore[attr-defined,index]
                 )
                 self.statistics.sat_conflicts += sat_solver.conflicts - conflicts_before
                 self.statistics.sat_decisions += sat_solver.decisions - decisions_before
@@ -300,7 +302,6 @@ class Solver:
                     return CheckResult.UNSAT, None
                 if outcome == SatResult.UNKNOWN:
                     return CheckResult.UNKNOWN, None
-                blaster = state["blaster"]
                 model = model_from_bits(
                     blaster.variable_bits(),  # type: ignore[attr-defined]
                     blaster.boolean_variables(),  # type: ignore[attr-defined]

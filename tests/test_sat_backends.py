@@ -104,6 +104,84 @@ class TestDifferentialCnf:
         assert model[2] is True and model[3] is True
 
 
+class TestTrailSafeFeeds:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_feeds_under_a_live_trail_match_fresh_solves(self, seed):
+        """Clauses fed between assumption solves (units under the kept
+        trail are implied at once, falsified ones unwind it) must leave
+        the array core agreeing with a from-nothing reference solve."""
+        rng = random.Random(seed)
+        num_vars = rng.randint(2, 12)
+        persistent = ArraySolver(num_vars)
+        fed = []
+        for _ in range(rng.randint(2, 6)):
+            chunk = random_cnf(rng, num_vars, rng.randint(1, 12), width=3)
+            flat = []
+            for clause in chunk:
+                flat.extend(clause)
+                flat.append(0)
+            persistent.add_clause_stream(flat)
+            fed.extend(chunk)
+            assumptions = [
+                rng.choice([1, -1]) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(0, 4))
+            ]
+            oracle = SATSolver(num_vars)
+            for clause in fed:
+                oracle.add_clause(clause)
+            expected = oracle.solve(assumptions)
+            status = persistent.solve(assumptions)
+            assert status == expected, (fed, assumptions)
+            if status == SatResult.SAT:
+                model = persistent.model()
+                assert assignment_satisfies(model, fed)
+                for lit in assumptions:
+                    assert model[abs(lit)] is (lit > 0)
+            if expected == SatResult.UNSAT and not assumptions:
+                break
+
+
+class TestScopedSolve:
+    def test_sat_stops_at_the_cone_of_the_roots(self):
+        from repro.smt.bitblast import BitBlaster
+        from repro.smt.model import model_from_bits
+
+        blaster = BitBlaster()
+        first = ULT(BitVec("a", 8), BitVec("b", 8))
+        second = Eq(BitVec("c", 8) * BitVec("d", 8), BitVec("e", 8))
+        roots = [blaster.blast_bool(first), blaster.blast_bool(second)]
+        solver = ArraySolver(blaster.cnf.num_vars)
+        solver.add_clause_stream(blaster.cnf.flat)
+        scope = blaster.cone([first])
+        assert solver.solve([roots[0]], scope=scope) == SatResult.SAT
+        # The multiplier of the other root was never branched on ...
+        assigned = sum(1 for var in range(1, solver.num_vars + 1) if solver._val[2 * var] >= 0)
+        assert assigned < solver.num_vars
+        # ... and every scope variable is assigned, so the model of the
+        # query's own variables is exact.
+        for low, high in scope:
+            assert all(solver._val[2 * var] >= 0 for var in range(low, high))
+        model = model_from_bits(blaster.variable_bits(), blaster.boolean_variables(), solver.model())
+        assert model.satisfies(first)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_persistent_context_agrees_with_the_reference(self, seed):
+        """A long-lived context (every query scoped to its own cone of a
+        growing shared CNF) decides like fresh reference solves."""
+        rng = random.Random(seed)
+        context = smt.SolverContext(sat_backend=ARRAY)
+        for _ in range(6):
+            goal = random_goal(rng)
+            scratch = Solver(sat_backend=REFERENCE, enable_cache=False)
+            scratch.add(goal)
+            status = context.check_assumptions(goal)
+            assert status == scratch.check(), goal
+            if status == "sat":
+                assert context.model().satisfies(goal)
+
+
 BV_WIDTH = 8
 
 
