@@ -66,7 +66,7 @@ def unsigned_range(term: Term) -> Tuple[int, int]:
         if not node.sort.is_bitvec():
             continue
         op = node.op
-        top = (1 << node.sort.width) - 1  # type: ignore[attr-defined]
+        top = (1 << node.width) - 1
         bounds = (0, top)
         if op == Op.BV_CONST:
             value = int(node.value)  # type: ignore[arg-type]

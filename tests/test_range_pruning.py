@@ -20,8 +20,8 @@ PACKET_LENGTH = 24
 VARIABLES = {f"v{width}": width for width in range(1, 9)}
 
 
-def _leaf(draw_width, name):
-    return smt.ZeroExt(64 - draw_width, smt.BitVec(name, draw_width))
+def _leaf(width, name):
+    return smt.ZeroExt(64 - width, smt.BitVec(name, width))
 
 
 @st.composite

@@ -165,13 +165,15 @@ class TestScopedSolve:
         model = model_from_bits(blaster.variable_bits(), blaster.boolean_variables(), solver.model())
         assert model.satisfies(first)
 
+    @pytest.mark.parametrize("backend", [ARRAY, REFERENCE])
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
-    def test_persistent_context_agrees_with_the_reference(self, seed):
+    def test_persistent_context_agrees_with_the_reference(self, backend, seed):
         """A long-lived context (every query scoped to its own cone of a
-        growing shared CNF) decides like fresh reference solves."""
+        growing shared CNF, fed clause by clause to the reference core)
+        decides like fresh reference solves."""
         rng = random.Random(seed)
-        context = smt.SolverContext(sat_backend=ARRAY)
+        context = smt.SolverContext(sat_backend=backend)
         for _ in range(6):
             goal = random_goal(rng)
             scratch = Solver(sat_backend=REFERENCE, enable_cache=False)
